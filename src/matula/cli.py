@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import oracle, stats, tree
+from . import oracle, primes, stats, tree
 from .errors import MatulaError, ParseError
 from .stats import StatName
 
@@ -21,15 +20,11 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
 
-@dataclass
-class BFile:
-    """Parsed OEIS-style b-file: ascending (index, value) pairs."""
+def parse_bfile(text: str) -> list[tuple[int, int]]:
+    """Parse "index value" lines into ascending (index, value) pairs.
 
-    entries: list[tuple[int, int]]
-
-
-def parse_bfile(text: str) -> BFile:
-    """Parse "index value" lines; '#' comments and blank lines are skipped."""
+    '#' comments and blank lines are skipped.
+    """
     entries: list[tuple[int, int]] = []
     offset = 0
     last_index: int | None = None
@@ -55,7 +50,7 @@ def parse_bfile(text: str) -> BFile:
             last_index = index
             entries.append((index, value))
         offset += len(line.encode("utf-8"))
-    return BFile(entries)
+    return entries
 
 
 def _stat_name(raw: str) -> StatName:
@@ -118,10 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(value) -> str:
-    return str(value)
-
-
 def _cmd_decode(args) -> int:
     t = tree.decode(args.n)
     if args.format == "paren":
@@ -142,7 +133,7 @@ def _cmd_encode(args) -> int:
 def _cmd_stat(args) -> int:
     engine = stats.default_engine()
     value = engine.compute(args.name, args.n, alpha=args.alpha, k=args.k)
-    print(_render(value))
+    print(value)
     return EXIT_OK
 
 
@@ -154,14 +145,13 @@ def _cmd_table(args) -> int:
             raise MatulaError(
                 f"--bfile needs an integer-valued statistic, {args.name.value} gave {value!r}"
             )
-        print(f"{n} {_render(value)}")
+        print(f"{n} {value}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     with open(args.bfile_path, "rb") as fh:
-        bfile = parse_bfile(fh.read().decode("utf-8"))
-    entries = bfile.entries
+        entries = parse_bfile(fh.read().decode("utf-8"))
     if args.limit is not None:
         entries = entries[: args.limit]
     engine = stats.default_engine()
@@ -169,7 +159,7 @@ def _cmd_verify(args) -> int:
         got = engine.compute(args.name, index)
         if got != expected:
             print(
-                f"mismatch at index {index}: computed {_render(got)}, "
+                f"mismatch at index {index}: computed {got}, "
                 f"b-file has {expected}"
             )
             return EXIT_MISMATCH
@@ -187,7 +177,7 @@ def _cmd_selftest(args) -> int:
     split_failures = 0
     composites = 0
     for n in range(4, args.max_n + 1):
-        if engine._omega(n) >= 2:
+        if primes.factorize(n).omega >= 2:
             composites += 1
             if not oracle.random_split_check(n, args.seed + n, engine):
                 split_failures += 1

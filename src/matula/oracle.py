@@ -17,10 +17,13 @@ from math import comb
 from . import primes, stats
 from .errors import BudgetExceeded, InvalidInput, UnsupportedName
 from .poly import IntPolynomial
-from .stats import ALPHA_STATS, StatName, StatsEngine
+from .stats import STATISTICS, StatName, StatsEngine
 from .tree import RootedTree, decode
 
 _SUBSET_ENUMERATION_MAX = 16
+
+#: statistics that take an alpha parameter
+ALPHA_STATS = tuple(name for name, s in STATISTICS.items() if s.param == "alpha")
 
 
 @dataclass
@@ -346,8 +349,16 @@ def oracle_stat(
 
 # -- cross-validation helpers ----------------------------------------------
 
-#: statistics with a composite-case rule, in declaration order
-RECURSIVE_STATS = tuple(stats._RULES.keys())
+#: parameterless statistics with a composite-case rule, in declaration order
+RECURSIVE_STATS = tuple(
+    name for name, s in STATISTICS.items() if s.composite and s.param is None
+)
+#: derived statistics that need no k, or have a default one
+DERIVED_STATS = tuple(
+    name
+    for name, s in STATISTICS.items()
+    if s.kind == "derived" and (s.param is None or s.default is not None)
+)
 
 _FLOAT_ALPHA = -0.5
 _EXACT_ALPHAS = (1, 2, -1)
@@ -378,7 +389,7 @@ def compare_all(
 
     for name in RECURSIVE_STATS:
         check(name.value, engine.compute(name, n), oracle_value(an, name))
-    for name in (StatName.A_ALPHA, StatName.R_ALPHA):
+    for name in ALPHA_STATS:
         for a in _EXACT_ALPHAS:
             check(
                 f"{name.value}[alpha={a}]",
@@ -391,16 +402,7 @@ def compare_all(
             oracle_value(an, name, alpha=_FLOAT_ALPHA),
             approx=True,
         )
-    for name in (
-        StatName.HYPER_W,
-        StatName.MULT_W,
-        StatName.POLARITY,
-        StatName.SUM_EVEN,
-        StatName.SUM_ODD,
-        StatName.EXIT_SUM,
-        StatName.EXIT_MAX,
-        StatName.EXIT_MAX_COUNT,
-    ):
+    for name in DERIVED_STATS:
         check(name.value, engine.compute(name, n), oracle_value(an, name))
     height = max(v.level for v in an.vertices)
     for k in range(0, height + 2):
@@ -432,10 +434,10 @@ def random_split_check(n: int, rng_seed: int, engine: StatsEngine | None = None)
     prime_s = n // prime_r
 
     for name in RECURSIVE_STATS:
-        a, b = (prime_r, prime_s) if stats._RULES[name].prime_split else (r, s)
+        a, b = (prime_r, prime_s) if STATISTICS[name].prime_split else (r, s)
         if engine.composite_value(name, a, b) != engine.compute(name, n):
             return False
-    for name in (StatName.A_ALPHA, StatName.R_ALPHA):
+    for name in ALPHA_STATS:
         for alpha in _EXACT_ALPHAS:
             want = engine.compute(name, n, alpha=alpha)
             if engine.composite_value(name, r, s, alpha=alpha) != want:

@@ -35,11 +35,6 @@ class Factorization:
             out *= p**k
         return out
 
-    def smallest_prime(self) -> int:
-        if not self.factors:
-            raise InvalidInput("1 has no prime factors")
-        return self.factors[0][0]
-
 
 class PrimeSieve:
     """Segmented Eratosthenes sieve that grows on demand.
@@ -64,10 +59,6 @@ class PrimeSieve:
     @property
     def ceiling(self) -> int:
         return self._ceiling
-
-    @property
-    def sieved_through(self) -> int:
-        return self._limit
 
     # -- growth -------------------------------------------------------
 
@@ -137,11 +128,6 @@ class PrimeSieve:
             raise NotPrime(f"{p} is not a prime")
         return i + 1
 
-    def is_prime(self, n: int) -> bool:
-        if n < 2:
-            return False
-        return self.factorize(n).omega == 1
-
     def factorize(self, n: int) -> Factorization:
         """Trial-divide n over sieved primes; results are cached."""
         if n < 1:
@@ -201,10 +187,6 @@ def nth_prime(m: int) -> int:
 
 def prime_index(p: int) -> int:
     return default_sieve().prime_index(p)
-
-
-def is_prime(n: int) -> bool:
-    return default_sieve().is_prime(n)
 
 
 def factorize(n: int) -> Factorization:

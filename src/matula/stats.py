@@ -1,9 +1,15 @@
 """Tree statistics computed directly from the Matula number.
 
-Every statistic is defined by a case split on n: a base value at n = 1
-(and sometimes n = 2), a rule for prime n = p_t in terms of the index t,
-and a rule for composite n = r*s in terms of the two parts.  The engine
-memoizes by (statistic, n); the composite split is always r = smallest
+Every statistic is one ``Statistic`` record in ``_RECORDS``, and
+``StatName``, ``DESCRIPTIONS`` and ``OEIS_IDS`` are built from the records.
+Adding a statistic means one record here, one definition in the oracle and
+one row in the README table.
+
+The engine memoizes one dict per (statistic, alpha), keyed by n.  Every
+child of n is smaller than n (t = pi(p) < p, and r, n/r < n for the
+composite split), so it collects the part of n's DAG that is not yet
+memoized with an explicit stack and fills the memo in ascending n; stack
+depth does not grow with n.  The composite split is always r = smallest
 prime factor, which keeps r prime (required by the BV and TW rules) and
 makes the recursion shape canonical.
 
@@ -14,6 +20,7 @@ internally and are asserted integral before leaving the engine.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,179 +33,252 @@ from .primes import PrimeSieve
 
 _monomial = IntPolynomial.monomial
 
-
-class StatName(enum.Enum):
-    V = "V"
-    E = "E"
-    H = "H"
-    LLL = "LLL"
-    LV = "LV"
-    MD = "MD"
-    DM = "DM"
-    PL = "PL"
-    EPL = "EPL"
-    BV = "BV"
-    PV = "PV"
-    SP = "SP"
-    VL = "VL"
-    RST = "RST"
-    ST = "ST"
-    W = "W"
-    TW = "TW"
-    Z1 = "Z1"
-    Z2 = "Z2"
-    NK = "NK"
-    MZ1 = "MZ1"
-    MZ2 = "MZ2"
-    A_ALPHA = "A_ALPHA"
-    R_ALPHA = "R_ALPHA"
-    PWP = "PWP"
-    WP = "WP"
-    DSP = "DSP"
-    EDP = "EDP"
-    HYPER_W = "HYPER_W"
-    MULT_W = "MULT_W"
-    POLARITY = "POLARITY"
-    SUM_EVEN = "SUM_EVEN"
-    SUM_ODD = "SUM_ODD"
-    EXIT_SUM = "EXIT_SUM"
-    EXIT_MAX = "EXIT_MAX"
-    EXIT_MAX_COUNT = "EXIT_MAX_COUNT"
-    LEVEL_COUNT = "LEVEL_COUNT"
-
-    @classmethod
-    def from_string(cls, s: str) -> "StatName":
-        key = s.strip().upper()
-        alias = _NAME_ALIASES.get(key, key)
-        try:
-            return cls[alias]
-        except KeyError:
-            raise UnsupportedName(f"unknown statistic name {s!r}") from None
-
-
-_NAME_ALIASES = {
-    "A": "A_ALPHA",
-    "R": "R_ALPHA",
-    "RANDIC": "R_ALPHA",
-}
-
-SCALAR_STATS = frozenset(
-    StatName[x]
-    for x in (
-        "V E H LLL LV MD DM PL EPL BV PV SP VL RST ST W TW Z1 Z2".split()
-    )
-)
-MULTIPLICATIVE_STATS = frozenset({StatName.NK, StatName.MZ1, StatName.MZ2})
-ALPHA_STATS = frozenset({StatName.A_ALPHA, StatName.R_ALPHA})
-POLY_STATS = frozenset({StatName.PWP, StatName.WP, StatName.DSP, StatName.EDP})
-DERIVED_STATS = frozenset(
-    StatName[x]
-    for x in (
-        "HYPER_W MULT_W POLARITY SUM_EVEN SUM_ODD "
-        "EXIT_SUM EXIT_MAX EXIT_MAX_COUNT LEVEL_COUNT".split()
-    )
-)
-
-#: Short human description of each statistic.
-DESCRIPTIONS: dict[StatName, str] = {
-    StatName.V: "number of vertices",
-    StatName.E: "number of edges",
-    StatName.H: "height (maximum level)",
-    StatName.LLL: "level of the lowest leaf",
-    StatName.LV: "number of leaves",
-    StatName.MD: "maximum vertex degree",
-    StatName.DM: "diameter",
-    StatName.PL: "path length (sum of levels)",
-    StatName.EPL: "external path length (sum of leaf levels)",
-    StatName.BV: "number of branching vertices (degree >= 3)",
-    StatName.PV: "number of pendant vertices (degree 1)",
-    StatName.SP: "number of sibling pairs",
-    StatName.VL: "visitation length (vertices + path length)",
-    StatName.RST: "number of subtrees containing the root",
-    StatName.ST: "number of subtrees (connected subgraphs)",
-    StatName.W: "Wiener index (sum of all pairwise distances)",
-    StatName.TW: "terminal Wiener index (pendant pairs only)",
-    StatName.Z1: "first Zagreb index (sum of squared degrees)",
-    StatName.Z2: "second Zagreb index (sum of degree products over edges)",
-    StatName.NK: "Narumi-Katayama index (product of degrees)",
-    StatName.MZ1: "first multiplicative Zagreb index (product of squared degrees)",
-    StatName.MZ2: "second multiplicative Zagreb index (product over edges)",
-    StatName.A_ALPHA: "sum of degree^alpha over level-1 vertices",
-    StatName.R_ALPHA: "general Randic index (sum over edges of (deg*deg)^alpha)",
-    StatName.PWP: "partial Wiener polynomial with respect to the root",
-    StatName.WP: "Wiener polynomial (vertex pairs by distance)",
-    StatName.DSP: "degree sequence polynomial (vertices by degree)",
-    StatName.EDP: "exit-distance polynomial (vertices by exit distance)",
-    StatName.HYPER_W: "hyper-Wiener index",
-    StatName.MULT_W: "multiplicative Wiener index (product of pairwise distances)",
-    StatName.POLARITY: "Wiener polarity index (pairs at distance k, default 3)",
-    StatName.SUM_EVEN: "sum of even pairwise distances",
-    StatName.SUM_ODD: "sum of odd pairwise distances",
-    StatName.EXIT_SUM: "sum of exit distances over all vertices",
-    StatName.EXIT_MAX: "maximum exit distance",
-    StatName.EXIT_MAX_COUNT: "number of vertices attaining the maximum exit distance",
-    StatName.LEVEL_COUNT: "number of non-root vertices at level k",
-}
-
-#: OEIS sequence ids, kept as data.  None where no single sequence applies.
-OEIS_IDS: dict[StatName, str | None] = {
-    StatName.V: "A061775",
-    StatName.E: "A196050",
-    StatName.H: "A109082",
-    StatName.LLL: "A184166",
-    StatName.LV: "A109129",
-    StatName.MD: "A196046",
-    StatName.DM: "A196058",
-    StatName.PL: "A196047",
-    StatName.EPL: "A196048",
-    StatName.BV: "A196049",
-    StatName.PV: "A196067",
-    StatName.SP: "A196057",
-    StatName.VL: "A196068",
-    StatName.RST: "A184160",
-    StatName.ST: "A184161",
-    StatName.W: "A196051",
-    StatName.TW: "A196055",
-    StatName.Z1: "A196053",
-    StatName.Z2: "A196054",
-    StatName.NK: "A196063",
-    StatName.MZ1: "A196065",
-    StatName.MZ2: "A196064",
-    StatName.A_ALPHA: "A196052",
-    StatName.R_ALPHA: None,
-    StatName.PWP: "A196056",
-    StatName.WP: "A196059",
-    StatName.DSP: "A182907",
-    StatName.EDP: "A184167",
-    StatName.HYPER_W: "A196060",
-    StatName.MULT_W: "A196061",
-    StatName.POLARITY: "A184156",
-    StatName.SUM_EVEN: "A184157",
-    StatName.SUM_ODD: "A184158",
-    StatName.EXIT_SUM: "A184168",
-    StatName.EXIT_MAX: "A184169",
-    StatName.EXIT_MAX_COUNT: "A184170",
-    StatName.LEVEL_COUNT: None,
-}
-
 StatValue = Any  # int | Fraction | IntPolynomial | float
 
 
 @dataclass(frozen=True)
-class _Rule:
-    base: dict[int, Any]
-    prime: Callable[["StatsEngine", int], Any]
-    composite: Callable[["StatsEngine", int, int], Any]
+class Statistic:
+    """One statistic and its recursion.
+
+    At n in ``base`` the value is ``base[n]``; at a prime n = p_t it is
+    ``prime(t, *tables)``; at a composite n = r*s it is
+    ``composite(r, s, *tables)``.  ``tables`` follow ``reads``: a
+    statistic's name gives its memo at the same alpha, a (name, alpha)
+    pair its memo at that alpha, "OMEGA" the function m -> Omega(m) (the
+    degree of the root of m's tree) and "POW" the function b -> b**alpha.
+    A derived statistic has no recursion: its value is
+    ``derive(value of reads[0] at n, k)``.
+
+    ``kind`` picks the engine method that serves it: "scalar",
+    "multiplicative", "polynomial", "alpha" or "derived".  ``param`` is
+    None, "alpha" or "k", and ``default`` its value when not given.
+    """
+
+    name: str
+    oeis: str | None
+    description: str
+    base: dict[int, Any] | None = None
+    reads: tuple = ()
+    prime: Callable | None = None
+    composite: Callable | None = None
+    kind: str = "scalar"
+    param: str | None = None
+    default: Any = None
     prime_split: bool = False  # composite rule assumes r is prime
     integral: bool = False  # rational intermediates; result must be integral
+    degree_power: Callable[[int], int] | None = None  # exponent in DSP check
+    derive: Callable | None = None
+    aliases: tuple[str, ...] = ()
 
 
-def _require_integral(v, name: StatName, n: int) -> int:
-    if isinstance(v, Fraction):
-        if v.denominator != 1:
-            raise InternalIntegrityError(f"{name.value}({n}) came out non-integral: {v}")
-        return int(v)
-    return v
+# One record per statistic: name, OEIS id, description, base, reads,
+# prime rule, composite rule, then options.  Laid out as a table.
+# fmt: off
+_RECORDS = (
+    Statistic("V", "A061775", "number of vertices", {1: 1}, ("V",),
+              lambda t, V: 1 + V[t],
+              lambda r, s, V: V[r] + V[s] - 1),
+    Statistic("E", "A196050", "number of edges", {1: 0}, ("E",),
+              lambda t, E: 1 + E[t],
+              lambda r, s, E: E[r] + E[s]),
+    Statistic("H", "A109082", "height (maximum level)", {1: 0}, ("H",),
+              lambda t, H: 1 + H[t],
+              lambda r, s, H: max(H[r], H[s])),
+    # LLL(1) = 0 by convention: the single vertex has no leaf, and this
+    # base makes LLL(2) = 1 come out right.
+    Statistic("LLL", "A184166", "level of the lowest leaf", {1: 0}, ("LLL",),
+              lambda t, LLL: 1 + LLL[t],
+              lambda r, s, LLL: min(LLL[r], LLL[s])),
+    Statistic("LV", "A109129", "number of leaves", {1: 0, 2: 1}, ("LV",),
+              lambda t, LV: LV[t],
+              lambda r, s, LV: LV[r] + LV[s]),
+    Statistic("MD", "A196046", "maximum vertex degree", {1: 0}, ("MD", "OMEGA"),
+              lambda t, MD, w: max(MD[t], 1 + w(t)),
+              lambda r, s, MD, w: max(MD[r], MD[s], w(r) + w(s))),
+    Statistic("DM", "A196058", "diameter", {1: 0}, ("DM", "H"),
+              lambda t, DM, H: max(DM[t], 1 + H[t]),
+              lambda r, s, DM, H: max(DM[r], DM[s], H[r] + H[s])),
+    Statistic("PL", "A196047", "path length (sum of levels)", {1: 0}, ("PL", "V"),
+              lambda t, PL, V: PL[t] + V[t],
+              lambda r, s, PL, V: PL[r] + PL[s]),
+    Statistic("EPL", "A196048", "external path length (sum of leaf levels)",
+              {1: 0, 2: 1}, ("EPL", "LV"),
+              lambda t, EPL, LV: EPL[t] + LV[t],
+              lambda r, s, EPL, LV: EPL[r] + EPL[s]),
+    Statistic("BV", "A196049", "number of branching vertices (degree >= 3)",
+              {1: 0}, ("BV", "OMEGA"),
+              lambda t, BV, w: BV[t] + (1 if w(t) == 2 else 0),
+              lambda r, s, BV, w: BV[r] + BV[s] + (1 if w(s) == 2 else 0),
+              prime_split=True),
+    Statistic("PV", "A196067", "number of pendant vertices (degree 1)",
+              {1: 0, 2: 2}, ("LV",),
+              lambda t, LV: 1 + LV[t],
+              lambda r, s, LV: LV[r] + LV[s]),
+    Statistic("SP", "A196057", "number of sibling pairs", {1: 0}, ("SP", "OMEGA"),
+              lambda t, SP, w: SP[t],
+              lambda r, s, SP, w: SP[r] + SP[s] + w(r) * w(s)),
+    Statistic("VL", "A196068", "visitation length (vertices + path length)",
+              {1: 1}, ("VL", "V"),
+              lambda t, VL, V: VL[t] + V[t] + 1,
+              lambda r, s, VL, V: VL[r] + VL[s] - 1),
+    Statistic("RST", "A184160", "number of subtrees containing the root",
+              {1: 1}, ("RST",),
+              lambda t, RST: 1 + RST[t],
+              lambda r, s, RST: RST[r] * RST[s]),
+    Statistic("ST", "A184161", "number of subtrees (connected subgraphs)",
+              {1: 1}, ("ST", "RST"),
+              lambda t, ST, RST: 1 + ST[t] + RST[t],
+              lambda r, s, ST, RST: ST[r] + ST[s] + (RST[r] - 1) * (RST[s] - 1) - 1),
+    Statistic("W", "A196051", "Wiener index (sum of all pairwise distances)",
+              {1: 0}, ("W", "PL", "E"),
+              lambda t, W, PL, E: W[t] + PL[t] + E[t] + 1,
+              lambda r, s, W, PL, E: W[r] + W[s] + PL[r] * E[s] + PL[s] * E[r]),
+    # TW: a root that was pendant stops being pendant when it gains an
+    # edge, so its pair distances (summing to EPL) leave the sum.  In the
+    # composite rule r is prime, so the r-part's root was pendant; the
+    # s-part's root (at a prime: t's root) was pendant only when s (t) is.
+    Statistic("TW", "A196055", "terminal Wiener index (pendant pairs only)",
+              {1: 0, 2: 1}, ("TW", "LV", "EPL", "OMEGA"),
+              lambda t, TW, LV, EPL, w: TW[t] + LV[t] + (0 if w(t) == 1 else EPL[t]),
+              lambda r, s, TW, LV, EPL, w: (
+                  TW[r] - EPL[r] + TW[s] - (EPL[s] if w(s) == 1 else 0)
+                  + EPL[r] * LV[s] + EPL[s] * LV[r]),
+              prime_split=True),
+    Statistic("Z1", "A196053", "first Zagreb index (sum of squared degrees)",
+              {1: 0}, ("Z1", "OMEGA"),
+              lambda t, Z1, w: Z1[t] + 2 + 2 * w(t),
+              lambda r, s, Z1, w: (
+                  Z1[r] + Z1[s] - w(r) ** 2 - w(s) ** 2 + (w(r) + w(s)) ** 2)),
+    Statistic("Z2", "A196054",
+              "second Zagreb index (sum of degree products over edges)",
+              {1: 0}, ("Z2", ("A_ALPHA", 1), "OMEGA"),
+              lambda t, Z2, A, w: Z2[t] + A[t] + w(t) + 1,
+              lambda r, s, Z2, A, w: Z2[r] + Z2[s] + A[r] * w(s) + A[s] * w(r)),
+    Statistic("NK", "A196063", "Narumi-Katayama index (product of degrees)",
+              {1: 0, 2: 1}, ("NK", "OMEGA"),
+              lambda t, NK, w: NK[t] * (1 + Fraction(1, w(t))),
+              lambda r, s, NK, w: (
+                  NK[r] * NK[s] * (Fraction(1, w(r)) + Fraction(1, w(s)))),
+              kind="multiplicative", integral=True, degree_power=lambda d: 1),
+    Statistic("MZ1", "A196065",
+              "first multiplicative Zagreb index (product of squared degrees)",
+              {1: 0, 2: 1}, ("MZ1", "OMEGA"),
+              lambda t, MZ1, w: MZ1[t] * (1 + Fraction(1, w(t))) ** 2,
+              lambda r, s, MZ1, w: (
+                  MZ1[r] * MZ1[s] * (Fraction(1, w(r)) + Fraction(1, w(s))) ** 2),
+              kind="multiplicative", integral=True, degree_power=lambda d: 2),
+    Statistic("MZ2", "A196064",
+              "second multiplicative Zagreb index (product over edges)",
+              {1: 0, 2: 1}, ("MZ2", "OMEGA"),
+              lambda t, MZ2, w: (
+                  MZ2[t] * Fraction((1 + w(t)) ** (1 + w(t)), w(t) ** w(t))),
+              lambda r, s, MZ2, w: MZ2[r] * MZ2[s] * Fraction(
+                  (w(r) + w(s)) ** (w(r) + w(s)), w(r) ** w(r) * w(s) ** w(s)),
+              kind="multiplicative", integral=True, degree_power=lambda d: d),
+    Statistic("A_ALPHA", "A196052", "sum of degree^alpha over level-1 vertices",
+              {1: 0}, ("A_ALPHA", "OMEGA", "POW"),
+              lambda t, A, w, p: p(1 + w(t)),
+              lambda r, s, A, w, p: A[r] + A[s],
+              kind="alpha", param="alpha", default=1, aliases=("A",)),
+    # A(t) = 0 only at t = 1, where w(t) = 0 and 0**alpha is undefined for
+    # negative alpha; the guard skips that term, which is 0 anyway.
+    Statistic("R_ALPHA", None,
+              "general Randic index (sum over edges of (deg*deg)^alpha)",
+              {1: 0}, ("R_ALPHA", "A_ALPHA", "OMEGA", "POW"),
+              lambda t, R, A, w, p: (
+                  R[t] + p(1 + w(t))
+                  + (A[t] * (p(1 + w(t)) - p(w(t))) if A[t] else 0)),
+              lambda r, s, R, A, w, p: (
+                  R[r] + R[s]
+                  + A[r] * (p(w(r) + w(s)) - p(w(r)))
+                  + A[s] * (p(w(r) + w(s)) - p(w(s)))),
+              kind="alpha", param="alpha", default=Fraction(-1, 2),
+              aliases=("R", "RANDIC")),
+    Statistic("PWP", "A196056", "partial Wiener polynomial with respect to the root",
+              {1: ZERO}, ("PWP",),
+              lambda t, PWP: X + X * PWP[t],
+              lambda r, s, PWP: PWP[r] + PWP[s],
+              kind="polynomial"),
+    Statistic("WP", "A196059", "Wiener polynomial (vertex pairs by distance)",
+              {1: ZERO}, ("WP", "PWP"),
+              lambda t, WP, PWP: WP[t] + X * PWP[t] + X,
+              lambda r, s, WP, PWP: WP[r] + WP[s] + PWP[r] * PWP[s],
+              kind="polynomial"),
+    Statistic("DSP", "A182907", "degree sequence polynomial (vertices by degree)",
+              {1: ONE}, ("DSP", "OMEGA"),
+              lambda t, DSP, w: DSP[t] + _monomial(w(t)) * (X - 1) + X,
+              lambda r, s, DSP, w: (
+                  DSP[r] + DSP[s] - _monomial(w(r)) - _monomial(w(s))
+                  + _monomial(w(r) + w(s))),
+              kind="polynomial"),
+    Statistic("EDP", "A184167", "exit-distance polynomial (vertices by exit distance)",
+              {1: ONE}, ("EDP", "LLL"),
+              lambda t, EDP, LLL: EDP[t] + _monomial(1 + LLL[t]),
+              lambda r, s, EDP, LLL: (
+                  EDP[r] + EDP[s] - _monomial(max(LLL[r], LLL[s]))),
+              kind="polynomial"),
+    Statistic("HYPER_W", "A196060", "hyper-Wiener index",
+              reads=("WP",), kind="derived", integral=True,
+              derive=lambda g, k: (
+                  g.derivative().eval_at_one()
+                  + Fraction(g.derivative().derivative().eval_at_one(), 2))),
+    Statistic("MULT_W", "A196061",
+              "multiplicative Wiener index (product of pairwise distances)",
+              reads=("WP",), kind="derived",
+              derive=lambda g, k: math.prod(
+                  d**c for d, c in enumerate(g.coeffs) if d > 1)),
+    Statistic("POLARITY", "A184156",
+              "Wiener polarity index (pairs at distance k, default 3)",
+              reads=("WP",), kind="derived", param="k", default=3,
+              derive=lambda g, k: g.coefficient(k)),
+    Statistic("SUM_EVEN", "A184157", "sum of even pairwise distances",
+              reads=("WP",), kind="derived",
+              derive=lambda g, k: g.even_part().derivative().eval_at_one()),
+    Statistic("SUM_ODD", "A184158", "sum of odd pairwise distances",
+              reads=("WP",), kind="derived",
+              derive=lambda g, k: g.odd_part().derivative().eval_at_one()),
+    Statistic("EXIT_SUM", "A184168", "sum of exit distances over all vertices",
+              reads=("EDP",), kind="derived",
+              derive=lambda g, k: g.derivative().eval_at_one()),
+    Statistic("EXIT_MAX", "A184169", "maximum exit distance",
+              reads=("EDP",), kind="derived",
+              derive=lambda g, k: g.degree()),
+    Statistic("EXIT_MAX_COUNT", "A184170",
+              "number of vertices attaining the maximum exit distance",
+              reads=("EDP",), kind="derived",
+              derive=lambda g, k: g.leading_coefficient()),
+    Statistic("LEVEL_COUNT", None, "number of non-root vertices at level k",
+              reads=("PWP",), kind="derived", param="k",
+              derive=lambda g, k: g.coefficient(k)),
+)
+# fmt: on
+
+
+class _StatNameBase(enum.Enum):
+    """Base of ``StatName``, whose members are built from the records."""
+
+    @classmethod
+    def from_string(cls, s: str) -> "StatName":
+        key = s.strip().upper()
+        try:
+            return cls[_ALIASES.get(key, key)]
+        except KeyError:
+            raise UnsupportedName(f"unknown statistic name {s!r}") from None
+
+
+StatName = _StatNameBase("StatName", [(s.name, s.name) for s in _RECORDS])
+
+#: The record of each statistic, in declaration order.
+STATISTICS: dict[StatName, Statistic] = {StatName(s.name): s for s in _RECORDS}
+
+#: Short human description of each statistic.
+DESCRIPTIONS: dict[StatName, str] = {n: s.description for n, s in STATISTICS.items()}
+
+#: OEIS sequence ids, kept as data.  None where no single sequence applies.
+OEIS_IDS: dict[StatName, str | None] = {n: s.oeis for n, s in STATISTICS.items()}
+
+_ALIASES = {alias: s.name for s in _RECORDS for alias in s.aliases}
+_BY_NAME = {s.name: s for s in _RECORDS}
 
 
 def _simplify(v):
@@ -207,257 +287,32 @@ def _simplify(v):
     return v
 
 
-def _pow(base: int, a, exact: bool):
-    return Fraction(base) ** a if exact else float(base) ** a
+def _finish(stat: Statistic, n: int, v, alpha):
+    """Give a computed value its canonical type: float at a non-integer alpha."""
+    if isinstance(alpha, float):
+        return float(v)
+    v = _simplify(v)
+    if stat.integral and isinstance(v, Fraction):
+        raise InternalIntegrityError(f"{stat.name}({n}) came out non-integral: {v}")
+    return v
 
 
-def _tw_prime(e: "StatsEngine", t: int):
-    v = e._val(StatName.TW, t) + e._val(StatName.LV, t)
-    if e._omega(t) == 1:
-        return v
-    return v + e._val(StatName.EPL, t)
-
-
-def _tw_composite(e: "StatsEngine", r: int, s: int):
-    # r is prime, so the root of the r-part was pendant and its pair
-    # distances (summing to EPL(r)) must be removed; same for the s-part
-    # only when s is prime.
-    v = e._val(StatName.TW, r) - e._val(StatName.EPL, r) + e._val(StatName.TW, s)
-    if e._omega(s) == 1:
-        v -= e._val(StatName.EPL, s)
-    return (
-        v
-        + e._val(StatName.EPL, r) * e._val(StatName.LV, s)
-        + e._val(StatName.EPL, s) * e._val(StatName.LV, r)
-    )
-
-
-def _z1_composite(e: "StatsEngine", r: int, s: int):
-    wr, ws = e._omega(r), e._omega(s)
-    return (
-        e._val(StatName.Z1, r)
-        + e._val(StatName.Z1, s)
-        - wr**2
-        - ws**2
-        + (wr + ws) ** 2
-    )
-
-
-def _z2_prime(e: "StatsEngine", t: int):
-    return e._val(StatName.Z2, t) + e._a1(t) + e._omega(t) + 1
-
-
-def _z2_composite(e: "StatsEngine", r: int, s: int):
-    return (
-        e._val(StatName.Z2, r)
-        + e._val(StatName.Z2, s)
-        + e._a1(r) * e._omega(s)
-        + e._a1(s) * e._omega(r)
-    )
-
-
-def _nk_prime(e: "StatsEngine", t: int):
-    return e._val(StatName.NK, t) * (1 + Fraction(1, e._omega(t)))
-
-
-def _nk_composite(e: "StatsEngine", r: int, s: int):
-    return (
-        e._val(StatName.NK, r)
-        * e._val(StatName.NK, s)
-        * (Fraction(1, e._omega(r)) + Fraction(1, e._omega(s)))
-    )
-
-
-def _mz1_prime(e: "StatsEngine", t: int):
-    return e._val(StatName.MZ1, t) * (1 + Fraction(1, e._omega(t))) ** 2
-
-
-def _mz1_composite(e: "StatsEngine", r: int, s: int):
-    return (
-        e._val(StatName.MZ1, r)
-        * e._val(StatName.MZ1, s)
-        * (Fraction(1, e._omega(r)) + Fraction(1, e._omega(s))) ** 2
-    )
-
-
-def _mz2_prime(e: "StatsEngine", t: int):
-    w = e._omega(t)
-    return e._val(StatName.MZ2, t) * Fraction((1 + w) ** (1 + w), w**w)
-
-
-def _mz2_composite(e: "StatsEngine", r: int, s: int):
-    wr, ws = e._omega(r), e._omega(s)
-    wn = wr + ws
-    return (
-        e._val(StatName.MZ2, r)
-        * e._val(StatName.MZ2, s)
-        * Fraction(wn**wn, wr**wr * ws**ws)
-    )
-
-
-def _dsp_prime(e: "StatsEngine", t: int):
-    return e._val(StatName.DSP, t) + _monomial(e._omega(t)) * (X - 1) + X
-
-
-def _dsp_composite(e: "StatsEngine", r: int, s: int):
-    wr, ws = e._omega(r), e._omega(s)
-    return (
-        e._val(StatName.DSP, r)
-        + e._val(StatName.DSP, s)
-        - _monomial(wr)
-        - _monomial(ws)
-        + _monomial(wr + ws)
-    )
-
-
-_S = StatName
-
-_RULES: dict[StatName, _Rule] = {
-    _S.V: _Rule(
-        {1: 1},
-        lambda e, t: 1 + e._val(_S.V, t),
-        lambda e, r, s: e._val(_S.V, r) + e._val(_S.V, s) - 1,
-    ),
-    _S.E: _Rule(
-        {1: 0},
-        lambda e, t: 1 + e._val(_S.E, t),
-        lambda e, r, s: e._val(_S.E, r) + e._val(_S.E, s),
-    ),
-    _S.H: _Rule(
-        {1: 0},
-        lambda e, t: 1 + e._val(_S.H, t),
-        lambda e, r, s: max(e._val(_S.H, r), e._val(_S.H, s)),
-    ),
-    # LLL(1) = 0 by convention: the single vertex has no leaf, and this
-    # base makes LLL(2) = 1 come out right.
-    _S.LLL: _Rule(
-        {1: 0},
-        lambda e, t: 1 + e._val(_S.LLL, t),
-        lambda e, r, s: min(e._val(_S.LLL, r), e._val(_S.LLL, s)),
-    ),
-    _S.LV: _Rule(
-        {1: 0, 2: 1},
-        lambda e, t: e._val(_S.LV, t),
-        lambda e, r, s: e._val(_S.LV, r) + e._val(_S.LV, s),
-    ),
-    _S.MD: _Rule(
-        {1: 0},
-        lambda e, t: max(e._val(_S.MD, t), 1 + e._omega(t)),
-        lambda e, r, s: max(
-            e._val(_S.MD, r), e._val(_S.MD, s), e._omega(r) + e._omega(s)
-        ),
-    ),
-    _S.DM: _Rule(
-        {1: 0},
-        lambda e, t: max(e._val(_S.DM, t), 1 + e._val(_S.H, t)),
-        lambda e, r, s: max(
-            e._val(_S.DM, r),
-            e._val(_S.DM, s),
-            e._val(_S.H, r) + e._val(_S.H, s),
-        ),
-    ),
-    _S.PL: _Rule(
-        {1: 0},
-        lambda e, t: e._val(_S.PL, t) + e._val(_S.V, t),
-        lambda e, r, s: e._val(_S.PL, r) + e._val(_S.PL, s),
-    ),
-    _S.EPL: _Rule(
-        {1: 0, 2: 1},
-        lambda e, t: e._val(_S.EPL, t) + e._val(_S.LV, t),
-        lambda e, r, s: e._val(_S.EPL, r) + e._val(_S.EPL, s),
-    ),
-    _S.BV: _Rule(
-        {1: 0},
-        lambda e, t: e._val(_S.BV, t) + (1 if e._omega(t) == 2 else 0),
-        lambda e, r, s: e._val(_S.BV, r)
-        + e._val(_S.BV, s)
-        + (1 if e._omega(s) == 2 else 0),
-        prime_split=True,
-    ),
-    _S.PV: _Rule(
-        {1: 0, 2: 2},
-        lambda e, t: 1 + e._val(_S.LV, t),
-        lambda e, r, s: e._val(_S.LV, r) + e._val(_S.LV, s),
-    ),
-    _S.SP: _Rule(
-        {1: 0},
-        lambda e, t: e._val(_S.SP, t),
-        lambda e, r, s: e._val(_S.SP, r)
-        + e._val(_S.SP, s)
-        + e._omega(r) * e._omega(s),
-    ),
-    _S.VL: _Rule(
-        {1: 1},
-        lambda e, t: e._val(_S.VL, t) + e._val(_S.V, t) + 1,
-        lambda e, r, s: e._val(_S.VL, r) + e._val(_S.VL, s) - 1,
-    ),
-    _S.RST: _Rule(
-        {1: 1},
-        lambda e, t: 1 + e._val(_S.RST, t),
-        lambda e, r, s: e._val(_S.RST, r) * e._val(_S.RST, s),
-    ),
-    _S.ST: _Rule(
-        {1: 1},
-        lambda e, t: 1 + e._val(_S.ST, t) + e._val(_S.RST, t),
-        lambda e, r, s: e._val(_S.ST, r)
-        + e._val(_S.ST, s)
-        + (e._val(_S.RST, r) - 1) * (e._val(_S.RST, s) - 1)
-        - 1,
-    ),
-    _S.W: _Rule(
-        {1: 0},
-        lambda e, t: e._val(_S.W, t) + e._val(_S.PL, t) + e._val(_S.E, t) + 1,
-        lambda e, r, s: e._val(_S.W, r)
-        + e._val(_S.W, s)
-        + e._val(_S.PL, r) * e._val(_S.E, s)
-        + e._val(_S.PL, s) * e._val(_S.E, r),
-    ),
-    _S.TW: _Rule({1: 0, 2: 1}, _tw_prime, _tw_composite, prime_split=True),
-    _S.Z1: _Rule(
-        {1: 0},
-        lambda e, t: e._val(_S.Z1, t) + 2 + 2 * e._omega(t),
-        _z1_composite,
-    ),
-    _S.Z2: _Rule({1: 0}, _z2_prime, _z2_composite),
-    _S.NK: _Rule({1: 0, 2: 1}, _nk_prime, _nk_composite, integral=True),
-    _S.MZ1: _Rule({1: 0, 2: 1}, _mz1_prime, _mz1_composite, integral=True),
-    _S.MZ2: _Rule({1: 0, 2: 1}, _mz2_prime, _mz2_composite, integral=True),
-    _S.PWP: _Rule(
-        {1: ZERO},
-        lambda e, t: X + X * e._val(_S.PWP, t),
-        lambda e, r, s: e._val(_S.PWP, r) + e._val(_S.PWP, s),
-    ),
-    _S.WP: _Rule(
-        {1: ZERO},
-        lambda e, t: e._val(_S.WP, t) + X * e._val(_S.PWP, t) + X,
-        lambda e, r, s: e._val(_S.WP, r)
-        + e._val(_S.WP, s)
-        + e._val(_S.PWP, r) * e._val(_S.PWP, s),
-    ),
-    _S.DSP: _Rule({1: ONE}, _dsp_prime, _dsp_composite),
-    _S.EDP: _Rule(
-        {1: ONE},
-        lambda e, t: e._val(_S.EDP, t) + _monomial(1 + e._val(_S.LLL, t)),
-        lambda e, r, s: e._val(_S.EDP, r)
-        + e._val(_S.EDP, s)
-        - _monomial(max(e._val(_S.LLL, r), e._val(_S.LLL, s))),
-    ),
-}
+def _pow(base: int, alpha):
+    return Fraction(base) ** alpha if isinstance(alpha, int) else float(base) ** alpha
 
 
 class StatsEngine:
     """Memoized evaluator for all statistics.
 
     Not thread-safe: use one engine per thread (the underlying sieve is
-    shared safely).  Values are memoized per (statistic, n); exact-alpha
-    values per (statistic, n, alpha).  Float-alpha computations are not
-    cached.
+    shared safely).  Values are memoized in one dict per (statistic,
+    alpha), keyed by n; alpha is None for statistics without one.
     """
 
     def __init__(self, sieve: PrimeSieve | None = None):
         self._sieve = sieve if sieve is not None else primes.default_sieve()
-        self._memo: dict[tuple[StatName, int], Any] = {}
-        self._alpha_memo: dict[tuple[StatName, int, int], Any] = {}
+        self._memo: dict[tuple[str, Any], dict[int, Any]] = {}
+        self._plans: dict[tuple[str, Any], tuple[list, list]] = {}
 
     # -- internals ----------------------------------------------------
 
@@ -468,111 +323,95 @@ class StatsEngine:
     def _omega(self, m: int) -> int:
         return self._sieve.factorize(m).omega
 
-    def _val(self, name: StatName, n: int):
-        key = (name, n)
-        if key in self._memo:
-            return self._memo[key]
-        rule = _RULES[name]
-        v = rule.base.get(n)
-        if v is None:
-            fz = self._sieve.factorize(n)
-            if fz.omega == 1:
-                v = rule.prime(self, self._sieve.prime_index(n))
-            else:
-                r = fz.factors[0][0]
-                v = rule.composite(self, r, n // r)
-            if rule.integral:
-                v = _require_integral(v, name, n)
-        self._memo[key] = v
-        return v
+    def _plan(self, stat: Statistic, alpha) -> tuple[list, list]:
+        """Return (entries, memos) for evaluating stat at alpha.
 
-    def _a1(self, n: int) -> int:
-        return self._a_value(n, 1, True)
+        entries are (record, alpha, memo, read tables) for stat and for every
+        statistic it reads, stat first; memos are their memos in that order.
+        """
+        key = (stat.name, alpha)
+        if key not in self._plans:
+            plan, keys = [], [key]
+            for name, a in keys:  # keys grows as new reads turn up
+                tables = []
+                for read in _BY_NAME[name].reads:
+                    if read == "OMEGA":
+                        tables.append(self._omega)
+                    elif read == "POW":
+                        tables.append(lambda b, a=a: _pow(b, a))
+                    else:
+                        read_key = read if isinstance(read, tuple) else (read, a)
+                        if read_key not in keys:
+                            keys.append(read_key)
+                        tables.append(self._memo.setdefault(read_key, {}))
+                memo = self._memo.setdefault((name, a), {})
+                plan.append((_BY_NAME[name], a, memo, tables))
+            self._plans[key] = plan, [memo for _, _, memo, _ in plan]
+        return self._plans[key]
 
-    def _a_value(self, n: int, a, exact: bool):
-        if exact:
-            key = (StatName.A_ALPHA, n, a)
-            if key in self._alpha_memo:
-                return self._alpha_memo[key]
-        if n == 1:
-            v = 0 if exact else 0.0
-        else:
-            fz = self._sieve.factorize(n)
-            if fz.omega == 1:
-                t = self._sieve.prime_index(n)
-                v = _pow(1 + self._omega(t), a, exact)
-            else:
-                r = fz.factors[0][0]
-                v = self._a_value(r, a, exact) + self._a_value(n // r, a, exact)
-        if exact:
-            v = _simplify(v)
-            self._alpha_memo[key] = v
-        return v
+    def _eval(self, stat: Statistic, n: int, alpha=None):
+        """stat's value at n; fills the memos bottom-up, without recursion."""
+        plan, memos = self._plans.get((stat.name, alpha)) or self._plan(stat, alpha)
+        if n in memos[0]:
+            return memos[0][n]
+        children: dict[int, tuple[int, ...]] = {}
+        stack = [n]
+        while stack:
+            m = stack.pop()
+            if m in children:
+                continue
+            kids: tuple[int, ...] = ()
+            if m > 1:
+                fz = self._sieve.factorize(m)
+                if fz.omega == 1:
+                    kids = (self._sieve.prime_index(m),)
+                else:
+                    r = fz.factors[0][0]
+                    kids = (r, m // r)
+            children[m] = kids
+            for kid in kids:  # push each child that some memo lacks
+                for memo in memos:
+                    if kid not in memo:
+                        stack.append(kid)
+                        break
+        for m in sorted(children):
+            kids = children[m]
+            for dep, a, memo, tables in plan:
+                if m not in memo:
+                    v = dep.base.get(m)
+                    if v is None:
+                        rule = dep.prime if len(kids) == 1 else dep.composite
+                        v = rule(*kids, *tables)
+                    if dep.integral or a is not None:  # else never a Fraction
+                        v = _finish(dep, m, v, a)
+                    memo[m] = v
+        return memos[0][n]
 
-    def _r_value(self, n: int, a, exact: bool):
-        if exact:
-            key = (StatName.R_ALPHA, n, a)
-            if key in self._alpha_memo:
-                return self._alpha_memo[key]
-        if n == 1:
-            v = 0 if exact else 0.0
-        else:
-            fz = self._sieve.factorize(n)
-            if fz.omega == 1:
-                t = self._sieve.prime_index(n)
-                wt = self._omega(t)
-                v = self._r_value(t, a, exact) + _pow(1 + wt, a, exact)
-                at = self._a_value(t, a, exact)
-                if at:  # guard: 0**a is undefined for negative a, and at=0 kills the term
-                    v += at * (_pow(1 + wt, a, exact) - _pow(wt, a, exact))
-            else:
-                r = fz.factors[0][0]
-                v = self._r_composite(r, n // r, a, exact)
-        if exact:
-            v = _simplify(v)
-            self._alpha_memo[key] = v
-        return v
+    def _record(self, name: StatName, n: int, kind: str) -> Statistic:
+        self._check_n(n)
+        stat = STATISTICS[name]
+        if stat.kind != kind:
+            raise InvalidInput(f"{name.value} is not a {kind} statistic")
+        return stat
 
-    def _r_composite(self, r: int, s: int, a, exact: bool):
-        wr, ws = self._omega(r), self._omega(s)
-        wn = wr + ws
-        return (
-            self._r_value(r, a, exact)
-            + self._r_value(s, a, exact)
-            + self._a_value(r, a, exact) * (_pow(wn, a, exact) - _pow(wr, a, exact))
-            + self._a_value(s, a, exact) * (_pow(wn, a, exact) - _pow(ws, a, exact))
-        )
-
-    def _dsp_degree_product(self, n: int, exponent_of_degree) -> Fraction:
-        """Product over the degree multiset read off DSP(n); cross-check path."""
-        dsp = self._val(StatName.DSP, n)
-        out = Fraction(1)
-        for deg, count in enumerate(dsp.coeffs):
-            if count:
-                out *= Fraction(deg) ** (exponent_of_degree(deg) * count)
-        return out
+    def _alpha_stat(self, name: StatName, n: int, alpha) -> StatValue:
+        self._check_n(n)
+        return self._eval(STATISTICS[name], n, _alpha_mode(alpha)[1])
 
     # -- public operations ---------------------------------------------
 
     def scalar_stat(self, name: StatName, n: int) -> int:
-        self._check_n(n)
-        if name not in SCALAR_STATS:
-            raise InvalidInput(f"{name.value} is not a scalar statistic")
-        return self._val(name, n)
+        return self._eval(self._record(name, n, "scalar"), n)
 
     def multiplicative_stat(self, name: StatName, n: int) -> int:
-        self._check_n(n)
-        if name not in MULTIPLICATIVE_STATS:
-            raise InvalidInput(f"{name.value} is not a multiplicative statistic")
-        v = self._val(name, n)
+        stat = self._record(name, n, "multiplicative")
+        v = self._eval(stat, n)
         if n >= 2:
-            # Defense in depth: recompute from the degree multiset.
-            if name is StatName.NK:
-                check = self._dsp_degree_product(n, lambda d: 1)
-            elif name is StatName.MZ1:
-                check = self._dsp_degree_product(n, lambda d: 2)
-            else:
-                check = self._dsp_degree_product(n, lambda d: d)
+            # Defense in depth: recompute from the degree multiset read off DSP.
+            check = Fraction(1)
+            for deg, count in enumerate(self._eval(_BY_NAME["DSP"], n).coeffs):
+                if count:
+                    check *= Fraction(deg) ** (stat.degree_power(deg) * count)
             if check != v:
                 raise InternalIntegrityError(
                     f"{name.value}({n}): recursion gave {v}, degree multiset gives {check}"
@@ -580,94 +419,43 @@ class StatsEngine:
         return v
 
     def a_alpha(self, n: int, alpha) -> StatValue:
-        self._check_n(n)
-        exact, a = _alpha_mode(alpha)
-        return self._a_value(n, a, exact)
+        return self._alpha_stat(StatName.A_ALPHA, n, alpha)
 
     def randic(self, n: int, alpha) -> StatValue:
-        self._check_n(n)
-        exact, a = _alpha_mode(alpha)
-        return self._r_value(n, a, exact)
+        return self._alpha_stat(StatName.R_ALPHA, n, alpha)
 
     def poly_stat(self, name: StatName, n: int) -> IntPolynomial:
-        self._check_n(n)
-        if name not in POLY_STATS:
-            raise InvalidInput(f"{name.value} is not a polynomial statistic")
-        return self._val(name, n)
+        return self._eval(self._record(name, n, "polynomial"), n)
 
     def derived_stat(self, name: StatName, n: int, k: int | None = None) -> int:
-        self._check_n(n)
-        if name not in DERIVED_STATS:
-            raise InvalidInput(f"{name.value} is not a derived statistic")
-        if name is StatName.POLARITY:
-            k = 3 if k is None else k
-        elif name is StatName.LEVEL_COUNT:
-            if k is None:
-                raise InvalidInput("LEVEL_COUNT requires k")
-        elif k is not None:
+        stat = self._record(name, n, "derived")
+        if stat.param is None and k is not None:
             raise InvalidInput(f"{name.value} takes no k parameter")
+        k = stat.default if k is None else k
+        if stat.param == "k" and k is None:
+            raise InvalidInput(f"{name.value} requires k")
         if k is not None and k < 0:
             raise InvalidInput(f"k must be >= 0, got {k}")
-
-        if name is StatName.HYPER_W:
-            g = self._val(StatName.WP, n)
-            d1 = g.derivative()
-            v = d1.eval_at_one() + Fraction(d1.derivative().eval_at_one(), 2)
-            if v.denominator != 1:
-                raise InternalIntegrityError(f"HYPER_W({n}) came out non-integral: {v}")
-            return int(v)
-        if name is StatName.MULT_W:
-            g = self._val(StatName.WP, n)
-            out = 1
-            for dist, count in enumerate(g.coeffs):
-                if dist > 1 and count:
-                    out *= dist**count
-            return out
-        if name is StatName.POLARITY:
-            return self._val(StatName.WP, n).coefficient(k)
-        if name is StatName.SUM_EVEN:
-            return self._val(StatName.WP, n).even_part().derivative().eval_at_one()
-        if name is StatName.SUM_ODD:
-            return self._val(StatName.WP, n).odd_part().derivative().eval_at_one()
-        if name is StatName.EXIT_SUM:
-            return self._val(StatName.EDP, n).derivative().eval_at_one()
-        if name is StatName.EXIT_MAX:
-            return self._val(StatName.EDP, n).degree()
-        if name is StatName.EXIT_MAX_COUNT:
-            return self._val(StatName.EDP, n).leading_coefficient()
-        if name is StatName.LEVEL_COUNT:
-            return self._val(StatName.PWP, n).coefficient(k)
-        raise UnsupportedName(f"no derived rule for {name.value}")
+        g = self._eval(_BY_NAME[stat.reads[0]], n)
+        return _finish(stat, n, stat.derive(g, k), None)
 
     def compute(
         self, name: StatName, n: int, alpha=None, k: int | None = None
     ) -> StatValue:
         """Dispatch to the right operation for any statistic name."""
-        if name in ALPHA_STATS:
-            if k is not None:
-                raise InvalidInput(f"{name.value} takes no k parameter")
-            if alpha is None:
-                alpha = 1 if name is StatName.A_ALPHA else Fraction(-1, 2)
-            if name is StatName.A_ALPHA:
-                return self.a_alpha(n, alpha)
-            return self.randic(n, alpha)
-        if alpha is not None:
+        stat = STATISTICS[name]
+        if alpha is not None and stat.param != "alpha":
             raise InvalidInput(f"{name.value} takes no alpha parameter")
-        if name in SCALAR_STATS:
-            if k is not None:
-                raise InvalidInput(f"{name.value} takes no k parameter")
-            return self.scalar_stat(name, n)
-        if name in MULTIPLICATIVE_STATS:
-            if k is not None:
-                raise InvalidInput(f"{name.value} takes no k parameter")
-            return self.multiplicative_stat(name, n)
-        if name in POLY_STATS:
-            if k is not None:
-                raise InvalidInput(f"{name.value} takes no k parameter")
-            return self.poly_stat(name, n)
-        if name in DERIVED_STATS:
+        if k is not None and stat.kind != "derived":
+            raise InvalidInput(f"{name.value} takes no k parameter")
+        if stat.param == "alpha":
+            return self._alpha_stat(name, n, stat.default if alpha is None else alpha)
+        if stat.kind == "derived":
             return self.derived_stat(name, n, k)
-        raise UnsupportedName(f"no rule for {name.value}")
+        if stat.kind == "multiplicative":
+            return self.multiplicative_stat(name, n)
+        self._check_n(n)
+        return self._eval(stat, n)
 
     def composite_value(self, name: StatName, r: int, s: int, alpha=None) -> StatValue:
         """Evaluate a statistic's composite-case rule at the split n = r*s.
@@ -677,40 +465,31 @@ class StatsEngine:
         """
         if r < 2 or s < 2:
             raise InvalidInput("both parts of a split must be >= 2")
-        if name in ALPHA_STATS:
-            if alpha is None:
-                raise InvalidInput(f"{name.value} requires alpha")
-            exact, a = _alpha_mode(alpha)
-            if name is StatName.A_ALPHA:
-                return _simplify(
-                    self._a_value(r, a, exact) + self._a_value(s, a, exact)
-                )
-            return _simplify(self._r_composite(r, s, a, exact))
-        rule = _RULES.get(name)
-        if rule is None:
+        stat = STATISTICS[name]
+        if stat.param == "alpha" and alpha is None:
+            raise InvalidInput(f"{name.value} requires alpha")
+        a = _alpha_mode(alpha)[1] if stat.param == "alpha" else None
+        if stat.composite is None:
             raise InvalidInput(f"{name.value} has no composite-case rule")
-        if rule.prime_split and self._omega(r) != 1:
+        if stat.prime_split and self._omega(r) != 1:
             raise InvalidInput(f"the {name.value} composite rule requires a prime r")
-        v = rule.composite(self, r, s)
-        if rule.integral:
-            v = _require_integral(v, name, r * s)
-        return v
+        self._eval(stat, r, a)
+        self._eval(stat, s, a)
+        entries, _ = self._plan(stat, a)
+        value = stat.composite(r, s, *entries[0][3])
+        return _finish(stat, r * s, value, a)
 
 
 def _alpha_mode(alpha) -> tuple[bool, Any]:
     """Split alpha into (exact?, normalized value): ints are exact, the rest float."""
     if isinstance(alpha, bool):
         raise InvalidInput("alpha must be a number")
-    if isinstance(alpha, int):
-        return True, alpha
-    if isinstance(alpha, Fraction):
-        if alpha.denominator == 1:
-            return True, int(alpha)
+    if isinstance(alpha, (int, Fraction)) and alpha.denominator == 1:
+        return True, int(alpha)
+    if isinstance(alpha, float) and alpha.is_integer():
+        return True, int(alpha)
+    if isinstance(alpha, (Fraction, float)):
         return False, float(alpha)
-    if isinstance(alpha, float):
-        if alpha.is_integer():
-            return True, int(alpha)
-        return False, alpha
     raise InvalidInput(f"alpha must be a number, got {alpha!r}")
 
 

@@ -112,8 +112,7 @@ def test_table_is_deterministic(capsys):
 def test_table_bfile_roundtrips_through_verify(capsys, tmp_path):
     code, out, _ = run(capsys, "table", "E", "1", "60", "--bfile")
     assert code == EXIT_OK
-    bfile = parse_bfile(out)
-    assert [i for i, _ in bfile.entries] == list(range(1, 61))
+    assert [i for i, _ in parse_bfile(out)] == list(range(1, 61))
     path = tmp_path / "b.txt"
     path.write_text(out)
     code, out, _ = run(capsys, "verify", "E", str(path))
@@ -185,15 +184,15 @@ def test_bfile_fixtures_are_oracle_derived():
     ):
         text = (FIXTURES / fname).read_text()
         assert "oracle" in text.splitlines()[1]
-        entries = parse_bfile(text).entries
+        entries = parse_bfile(text)
         assert len(entries) == 100
         for n, value in entries:
             assert value == oracle_value(analyze(decode(n)), stat)
 
 
 def test_parse_bfile_skips_comments_and_blanks():
-    bfile = parse_bfile("# header\n\n1 5\n2 6\n\n# trailing\n3 7\n")
-    assert bfile.entries == [(1, 5), (2, 6), (3, 7)]
+    entries = parse_bfile("# header\n\n1 5\n2 6\n\n# trailing\n3 7\n")
+    assert entries == [(1, 5), (2, 6), (3, 7)]
 
 
 def test_parse_bfile_rejects_bad_lines():

@@ -135,7 +135,7 @@ def test_recursions_match_oracle_sample():
 
 def test_compare_all_flags_disagreement():
     engine = StatsEngine()
-    engine._memo[(S.W, 9)] = 21  # sabotage the memo
+    engine._memo["W", None] = {9: 21}  # sabotage the memo
     problems = compare_all(9, engine)
     assert any("W" in p for p in problems)
 

@@ -1,19 +1,16 @@
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matula.errors import InvalidInput, UnsupportedName
 from matula.poly import ZERO, IntPolynomial
-from matula.stats import (
-    DESCRIPTIONS,
-    MULTIPLICATIVE_STATS,
-    OEIS_IDS,
-    POLY_STATS,
-    SCALAR_STATS,
-    StatName,
-    StatsEngine,
-)
+from matula.primes import PrimeSieve
+from matula.stats import DESCRIPTIONS, OEIS_IDS, STATISTICS, StatName, StatsEngine
 
 S = StatName
 
@@ -153,8 +150,9 @@ def test_multiplicative_wiener(engine):
 
 def test_memoized_and_cold_agree(engine):
     cold = StatsEngine()
+    names = [n for n, s in STATISTICS.items() if s.composite and s.param is None]
     for n in (1, 2, 9, 60, 361, 987654321):
-        for name in sorted(SCALAR_STATS | MULTIPLICATIVE_STATS | POLY_STATS, key=lambda s: s.value):
+        for name in names:
             assert engine.compute(name, n) == cold.compute(name, n)
 
 
@@ -230,3 +228,65 @@ def test_docs_tables_are_complete():
         assert name in OEIS_IDS
     assert OEIS_IDS[S.V] == "A061775"
     assert OEIS_IDS[S.E] == "A196050"
+
+
+def test_deep_powers_need_no_call_stack():
+    # 2**2000 is a star with 2000 leaves; its DAG is 2000 nodes deep.
+    sieve = PrimeSieve()
+    sieve.nth_prime(10)
+    engine = StatsEngine(sieve)
+    n = 2**2000
+    assert engine.scalar_stat(S.V, n) == 2001
+    assert engine.scalar_stat(S.W, n) == 4000000
+    assert str(engine.poly_stat(S.WP, n)) == "2000*x + 1999000*x^2"
+    assert engine.multiplicative_stat(S.NK, n) == 2000
+    assert engine.randic(n, -1) == 1
+
+
+def _params(name, choice):
+    if STATISTICS[name].param == "alpha":
+        return {"alpha": (1, 2, -1, Fraction(-1, 2))[choice]}
+    if name is S.LEVEL_COUNT:
+        return {"k": choice}
+    return {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(list(StatName)),
+    n=st.integers(1, 10**5),
+    choice=st.integers(0, 3),
+    warm=st.lists(
+        st.tuples(st.sampled_from(list(StatName)), st.integers(1, 10**5)), max_size=12
+    ),
+    seed=st.integers(0, 2**32),
+)
+def test_values_do_not_depend_on_evaluation_order(name, n, choice, warm, seed):
+    cold = StatsEngine().compute(name, n, **_params(name, choice))
+
+    shuffled = StatsEngine()
+    divisors = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
+    work = warm + [(name, d) for d in divisors] + [(name, n // d) for d in divisors]
+    random.Random(seed).shuffle(work)
+    for other, m in work:
+        shuffled.compute(other, m, **_params(other, choice))
+
+    ascending = StatsEngine()
+    for m in sorted({m for _, m in work}):
+        ascending.compute(name, m, **_params(name, choice))
+
+    got = [
+        e.compute(name, n, **_params(name, choice)) for e in (shuffled, ascending)
+    ]
+    assert [str(v) for v in got] == [str(cold)] * 2
+    assert got == [cold] * 2
+
+
+def test_readme_table_matches_the_registry():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = readme.split("## Statistics", 1)[1].split("\n\n")[1].splitlines()[2:]
+    table = []
+    for row in rows:
+        name, _, oeis = (cell.strip() for cell in row.strip("|").split("|"))
+        table.append((name, None if oeis == "—" else oeis.split()[0]))
+    assert table == [(s.name, s.oeis) for s in STATISTICS.values()]
