@@ -74,6 +74,20 @@ def _int_arg(raw: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
 
 
+def _int_at_least(minimum: int):
+    """An argparse type for integers >= minimum."""
+
+    def parse(raw: str) -> int:
+        value = _int_arg(raw)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {raw!r}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matula",
@@ -104,10 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check computed values against an OEIS b-file")
     p.add_argument("name", type=_stat_name)
     p.add_argument("bfile_path")
-    p.add_argument("--limit", type=int, default=None, help="check at most K entries")
+    p.add_argument(
+        "--limit", type=_int_at_least(0), default=None, help="check at most K entries"
+    )
 
     p = sub.add_parser("selftest", help="recursion-vs-oracle and split-invariance checks")
-    p.add_argument("--max-n", type=int, default=300)
+    p.add_argument("--max-n", type=_int_at_least(1), default=300)
     p.add_argument("--seed", type=int, default=0)
 
     return parser

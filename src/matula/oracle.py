@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from itertools import combinations
+from math import comb, prod
+from typing import Any, Callable
 
 from . import primes, stats
-from .errors import BudgetExceeded, InvalidInput, UnsupportedName
+from .errors import BudgetExceeded, InvalidInput
 from .poly import IntPolynomial
 from .stats import STATISTICS, StatName, StatsEngine
 from .tree import RootedTree, decode
 
 _SUBSET_ENUMERATION_MAX = 16
-
-#: statistics that take an alpha parameter
-ALPHA_STATS = tuple(name for name, s in STATISTICS.items() if s.param == "alpha")
 
 
 @dataclass
@@ -39,14 +39,15 @@ class VertexInfo:
 class TreeAnalysis:
     """Per-vertex data plus the all-pairs distance matrix.
 
-    Vertices are indexed in canonical preorder (root = 0).
+    Vertices are indexed in canonical preorder (root = 0).  ``pair_dists``
+    lists dist[i][j] for i < j, row by row.
     """
 
     vertices: list[VertexInfo]
     children: list[list[int]]
     edges: list[tuple[int, int]]
     dist: list[list[int]]
-    _subtree_counts: tuple[int, int] | None = field(default=None, repr=False)
+    pair_dists: list[int]
 
     @property
     def vertex_count(self) -> int:
@@ -59,6 +60,11 @@ class TreeAnalysis:
         return [
             (self.vertices[a].degree, self.vertices[b].degree) for a, b in self.edges
         ]
+
+    @cached_property
+    def subtree_counts(self) -> tuple[int, int]:
+        """(subtrees, root subtrees), counted by ``subtree_counts(self)``."""
+        return subtree_counts(self)
 
 
 def analyze(t: RootedTree, max_vertices: int = 10_000) -> TreeAnalysis:
@@ -114,7 +120,8 @@ def analyze(t: RootedTree, max_vertices: int = 10_000) -> TreeAnalysis:
         )
         for i in range(n)
     ]
-    return TreeAnalysis(vertices=vertices, children=children, edges=edges, dist=dist)
+    pair_dists = [d for i, row in enumerate(dist) for d in row[i + 1 :]]
+    return TreeAnalysis(vertices, children, edges, dist, pair_dists)
 
 
 def _bfs_distances(adjacency: list[list[int]], start: int) -> list[int]:
@@ -192,137 +199,7 @@ def _subtrees_by_dp(an: TreeAnalysis) -> tuple[int, int]:
     return sum(rooted_at), rooted_at[0]
 
 
-def _cached_subtree_counts(an: TreeAnalysis) -> tuple[int, int]:
-    if an._subtree_counts is None:
-        an._subtree_counts = subtree_counts(an)
-    return an._subtree_counts
-
-
 # -- definitional statistic values ----------------------------------------
-
-
-def oracle_value(an: TreeAnalysis, name: StatName, alpha=None, k: int | None = None):
-    """Compute a statistic from the analysis using only its definition."""
-    verts = an.vertices
-    n = an.vertex_count
-    pair_dists = [an.dist[i][j] for i in range(n) for j in range(i + 1, n)]
-
-    if name in ALPHA_STATS:
-        if alpha is None:
-            raise InvalidInput(f"{name.value} requires alpha")
-        exact, a = stats._alpha_mode(alpha)
-
-        def p(base: int):
-            return Fraction(base) ** a if exact else float(base) ** a
-
-        if name is StatName.A_ALPHA:
-            terms = [p(v.degree) for v in verts if v.level == 1]
-        else:
-            terms = [p(da * db) for da, db in an.edge_degree_pairs()]
-        total = sum(terms) if terms else (0 if exact else 0.0)
-        return stats._simplify(total) if exact else total
-
-    if name is StatName.POLARITY:
-        k = 3 if k is None else k
-    if name is StatName.LEVEL_COUNT and k is None:
-        raise InvalidInput("LEVEL_COUNT requires k")
-
-    if name is StatName.V:
-        return n
-    if name is StatName.E:
-        return len(an.edges)
-    if name is StatName.H:
-        return max(v.level for v in verts)
-    if name is StatName.LLL:
-        leaf_levels = [v.level for v in verts if v.is_leaf]
-        return min(leaf_levels) if leaf_levels else 0  # 1-vertex convention
-    if name is StatName.LV:
-        return sum(1 for v in verts if v.is_leaf)
-    if name is StatName.MD:
-        return max(v.degree for v in verts)
-    if name is StatName.DM:
-        return max(pair_dists, default=0)
-    if name is StatName.PL:
-        return sum(v.level for v in verts)
-    if name is StatName.EPL:
-        return sum(v.level for v in verts if v.is_leaf)
-    if name is StatName.BV:
-        return sum(1 for v in verts if v.degree >= 3)
-    if name is StatName.PV:
-        return sum(1 for v in verts if v.degree == 1)
-    if name is StatName.SP:
-        return sum(comb(len(kids), 2) for kids in an.children)
-    if name is StatName.VL:
-        return n + sum(v.level for v in verts)
-    if name is StatName.RST:
-        return _cached_subtree_counts(an)[1]
-    if name is StatName.ST:
-        return _cached_subtree_counts(an)[0]
-    if name is StatName.W:
-        return sum(pair_dists)
-    if name is StatName.TW:
-        pendant = [i for i, v in enumerate(verts) if v.degree == 1]
-        return sum(
-            an.dist[a][b] for x, a in enumerate(pendant) for b in pendant[x + 1 :]
-        )
-    if name is StatName.Z1:
-        return sum(v.degree**2 for v in verts)
-    if name is StatName.Z2:
-        return sum(da * db for da, db in an.edge_degree_pairs())
-    if name is StatName.NK:
-        out = 1
-        for v in verts:
-            out *= v.degree
-        return out
-    if name is StatName.MZ1:
-        out = 1
-        for v in verts:
-            out *= v.degree**2
-        return out
-    if name is StatName.MZ2:
-        if n == 1:
-            return 0  # matches the bijection side's base convention
-        out = 1
-        for v in verts:
-            out *= v.degree**v.degree
-        return out
-
-    if name is StatName.PWP:
-        return _counting_poly(v.level for v in verts if v.parent is not None)
-    if name is StatName.WP:
-        return _counting_poly(pair_dists)
-    if name is StatName.DSP:
-        return _counting_poly(v.degree for v in verts)
-    if name is StatName.EDP:
-        return _counting_poly(v.exit_distance for v in verts)
-
-    if name is StatName.HYPER_W:
-        doubled = sum(d * d + d for d in pair_dists)
-        half = Fraction(doubled, 2)
-        assert half.denominator == 1
-        return int(half)
-    if name is StatName.MULT_W:
-        out = 1
-        for d in pair_dists:
-            out *= d
-        return out
-    if name is StatName.POLARITY:
-        return sum(1 for d in pair_dists if d == k)
-    if name is StatName.SUM_EVEN:
-        return sum(d for d in pair_dists if d % 2 == 0)
-    if name is StatName.SUM_ODD:
-        return sum(d for d in pair_dists if d % 2 == 1)
-    if name is StatName.EXIT_SUM:
-        return sum(v.exit_distance for v in verts)
-    if name is StatName.EXIT_MAX:
-        return max(v.exit_distance for v in verts)
-    if name is StatName.EXIT_MAX_COUNT:
-        top = max(v.exit_distance for v in verts)
-        return sum(1 for v in verts if v.exit_distance == top)
-    if name is StatName.LEVEL_COUNT:
-        return sum(1 for v in verts if v.level == k and v.parent is not None)
-
-    raise UnsupportedName(f"the oracle has no definition for {name.value}")
 
 
 def _counting_poly(values) -> IntPolynomial:
@@ -337,28 +214,91 @@ def _counting_poly(values) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def oracle_stat(
-    name: StatName,
-    t: RootedTree,
-    alpha=None,
-    k: int | None = None,
-    max_vertices: int = 10_000,
-):
-    return oracle_value(analyze(t, max_vertices), name, alpha=alpha, k=k)
+def _count_of_max(values: list[int]) -> int:
+    return values.count(max(values))
+
+
+S = StatName
+
+# One definition per statistic, from the explicit tree.  Each takes
+# (analysis, parameter); the parameter is the power function b -> b**alpha
+# for A_ALPHA and R_ALPHA, k for POLARITY and LEVEL_COUNT, None otherwise.
+# fmt: off
+_DEFINITIONS: dict[StatName, Callable[[TreeAnalysis, Any], Any]] = {
+    S.V: lambda an, _: an.vertex_count,
+    S.E: lambda an, _: len(an.edges),
+    S.H: lambda an, _: max(v.level for v in an.vertices),
+    # the single vertex has no leaf: LLL(1) = 0 by convention
+    S.LLL: lambda an, _: min((v.level for v in an.vertices if v.is_leaf), default=0),
+    S.LV: lambda an, _: sum(v.is_leaf for v in an.vertices),
+    S.MD: lambda an, _: max(an.degrees()),
+    S.DM: lambda an, _: max(an.pair_dists, default=0),
+    S.PL: lambda an, _: sum(v.level for v in an.vertices),
+    S.EPL: lambda an, _: sum(v.level for v in an.vertices if v.is_leaf),
+    S.BV: lambda an, _: sum(d >= 3 for d in an.degrees()),
+    S.PV: lambda an, _: sum(d == 1 for d in an.degrees()),
+    S.SP: lambda an, _: sum(comb(len(kids), 2) for kids in an.children),
+    S.VL: lambda an, _: an.vertex_count + sum(v.level for v in an.vertices),
+    S.RST: lambda an, _: an.subtree_counts[1],
+    S.ST: lambda an, _: an.subtree_counts[0],
+    S.W: lambda an, _: sum(an.pair_dists),
+    S.TW: lambda an, _: sum(an.dist[a][b] for a, b in combinations(
+        [i for i, d in enumerate(an.degrees()) if d == 1], 2)),
+    S.Z1: lambda an, _: sum(d * d for d in an.degrees()),
+    S.Z2: lambda an, _: sum(da * db for da, db in an.edge_degree_pairs()),
+    S.NK: lambda an, _: prod(an.degrees()),
+    S.MZ1: lambda an, _: prod(d * d for d in an.degrees()),
+    # MZ2(1) = 0 matches the bijection side's base convention
+    S.MZ2: lambda an, _: prod(d**d for d in an.degrees()) if an.vertex_count > 1 else 0,
+    S.A_ALPHA: lambda an, p: sum(p(v.degree) for v in an.vertices if v.level == 1),
+    S.R_ALPHA: lambda an, p: sum(p(da * db) for da, db in an.edge_degree_pairs()),
+    S.PWP: lambda an, _: _counting_poly(
+        v.level for v in an.vertices if v.parent is not None),
+    S.WP: lambda an, _: _counting_poly(an.pair_dists),
+    S.DSP: lambda an, _: _counting_poly(an.degrees()),
+    S.EDP: lambda an, _: _counting_poly(v.exit_distance for v in an.vertices),
+    S.HYPER_W: lambda an, _: sum(d * (d + 1) // 2 for d in an.pair_dists),
+    S.MULT_W: lambda an, _: prod(an.pair_dists),
+    S.POLARITY: lambda an, k: an.pair_dists.count(k),
+    S.SUM_EVEN: lambda an, _: sum(d for d in an.pair_dists if d % 2 == 0),
+    S.SUM_ODD: lambda an, _: sum(d for d in an.pair_dists if d % 2 == 1),
+    S.EXIT_SUM: lambda an, _: sum(v.exit_distance for v in an.vertices),
+    S.EXIT_MAX: lambda an, _: max(v.exit_distance for v in an.vertices),
+    S.EXIT_MAX_COUNT: lambda an, _: _count_of_max([v.exit_distance for v in an.vertices]),
+    S.LEVEL_COUNT: lambda an, k: sum(
+        v.level == k for v in an.vertices if v.parent is not None),
+}
+# fmt: on
+
+
+def oracle_value(an: TreeAnalysis, name: StatName, alpha=None, k: int | None = None):
+    """Compute a statistic from the analysis using only its definition.
+
+    Parameter conventions (which parameter, its default) come from the
+    statistic's record; a missing alpha is rejected.
+    """
+    stat = STATISTICS[name]
+    define = _DEFINITIONS[name]
+    if stat.param is None:
+        return define(an, None)
+    if stat.param == "alpha":
+        if alpha is None:
+            raise InvalidInput(f"{name.value} requires alpha")
+        exact, a = stats._alpha_mode(alpha)
+        if exact:
+            return stats._simplify(define(an, lambda b: Fraction(b) ** a))
+        return float(define(an, lambda b: float(b) ** a))
+    k = stat.default if k is None else k
+    if k is None:
+        raise InvalidInput(f"{name.value} requires k")
+    return define(an, k)
+
+
+def oracle_stat(name: StatName, t: RootedTree, alpha=None, k: int | None = None):
+    return oracle_value(analyze(t), name, alpha=alpha, k=k)
 
 
 # -- cross-validation helpers ----------------------------------------------
-
-#: parameterless statistics with a composite-case rule, in declaration order
-RECURSIVE_STATS = tuple(
-    name for name, s in STATISTICS.items() if s.composite and s.param is None
-)
-#: derived statistics that need no k, or have a default one
-DERIVED_STATS = tuple(
-    name
-    for name, s in STATISTICS.items()
-    if s.kind == "derived" and (s.param is None or s.default is not None)
-)
 
 _FLOAT_ALPHA = -0.5
 _EXACT_ALPHAS = (1, 2, -1)
@@ -375,42 +315,32 @@ def compare_all(
 ) -> list[str]:
     """Compare every statistic's recursion against the oracle for one n.
 
+    Alpha statistics are checked at alpha = 1, 2, -1 and (approximately)
+    -0.5, a k without default at k = 0 .. height + 1, the rest once.
     Returns a list of mismatch descriptions (empty means full agreement).
     """
     engine = engine if engine is not None else stats.default_engine()
     if an is None:
         an = analyze(decode(n))
-    problems: list[str] = []
-
-    def check(label: str, got, want, approx=False):
-        ok = _float_close(got, want) if approx else got == want
-        if not ok:
-            problems.append(f"n={n} {label}: recursion {got!r} != oracle {want!r}")
-
-    for name in RECURSIVE_STATS:
-        check(name.value, engine.compute(name, n), oracle_value(an, name))
-    for name in ALPHA_STATS:
-        for a in _EXACT_ALPHAS:
-            check(
-                f"{name.value}[alpha={a}]",
-                engine.compute(name, n, alpha=a),
-                oracle_value(an, name, alpha=a),
-            )
-        check(
-            f"{name.value}[alpha={_FLOAT_ALPHA}]",
-            engine.compute(name, n, alpha=_FLOAT_ALPHA),
-            oracle_value(an, name, alpha=_FLOAT_ALPHA),
-            approx=True,
-        )
-    for name in DERIVED_STATS:
-        check(name.value, engine.compute(name, n), oracle_value(an, name))
     height = max(v.level for v in an.vertices)
-    for k in range(0, height + 2):
-        check(
-            f"LEVEL_COUNT[k={k}]",
-            engine.compute(StatName.LEVEL_COUNT, n, k=k),
-            oracle_value(an, StatName.LEVEL_COUNT, k=k),
-        )
+    problems: list[str] = []
+    for name, stat in STATISTICS.items():
+        if stat.param == "alpha":
+            cases = [{"alpha": a} for a in (*_EXACT_ALPHAS, _FLOAT_ALPHA)]
+        elif stat.param == "k" and stat.default is None:
+            cases = [{"k": k} for k in range(height + 2)]
+        else:
+            cases = [{}]
+        for kw in cases:
+            got = engine.compute(name, n, **kw)
+            want = oracle_value(an, name, **kw)
+            if kw.get("alpha") == _FLOAT_ALPHA:
+                ok = _float_close(got, want)
+            else:
+                ok = got == want
+            if not ok:
+                label = name.value + "".join(f"[{p}={v}]" for p, v in kw.items())
+                problems.append(f"n={n} {label}: recursion {got!r} != oracle {want!r}")
     return problems
 
 
@@ -419,7 +349,8 @@ def random_split_check(n: int, rng_seed: int, engine: StatsEngine | None = None)
 
     The split is drawn uniformly from the nontrivial divisors; statistics
     whose composite rule assumes a prime r draw r from the prime factors
-    instead.  True iff everything matches the canonical computation.
+    instead.  Alpha statistics are checked at alpha = 1, 2 and -1.  True
+    iff everything matches the canonical computation.
     """
     engine = engine if engine is not None else stats.default_engine()
     fz = primes.factorize(n)
@@ -427,28 +358,22 @@ def random_split_check(n: int, rng_seed: int, engine: StatsEngine | None = None)
         raise InvalidInput(f"{n} is not composite")
     rng = random.Random(rng_seed)
 
-    divisors = _nontrivial_divisors(fz)
-    r = rng.choice(divisors)
-    s = n // r
+    r = rng.choice(_nontrivial_divisors(n, fz))
     prime_r = rng.choice([p for p, _ in fz.factors])
-    prime_s = n // prime_r
 
-    for name in RECURSIVE_STATS:
-        a, b = (prime_r, prime_s) if STATISTICS[name].prime_split else (r, s)
-        if engine.composite_value(name, a, b) != engine.compute(name, n):
-            return False
-    for name in ALPHA_STATS:
-        for alpha in _EXACT_ALPHAS:
+    for name, stat in STATISTICS.items():
+        if stat.composite is None:
+            continue
+        a = prime_r if stat.prime_split else r
+        for alpha in _EXACT_ALPHAS if stat.param == "alpha" else (None,):
             want = engine.compute(name, n, alpha=alpha)
-            if engine.composite_value(name, r, s, alpha=alpha) != want:
+            if engine.composite_value(name, a, n // a, alpha=alpha) != want:
                 return False
     return True
 
 
-def _nontrivial_divisors(fz: primes.Factorization) -> list[int]:
+def _nontrivial_divisors(n: int, fz: primes.Factorization) -> list[int]:
     divisors = [1]
     for p, mult in fz.factors:
         divisors = [d * p**e for d in divisors for e in range(mult + 1)]
-    n = fz.product()
-    out = sorted(d for d in divisors if 1 < d < n)
-    return out
+    return sorted(d for d in divisors if 1 < d < n)

@@ -29,12 +29,6 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
     omega: int
 
-    def product(self) -> int:
-        out = 1
-        for p, k in self.factors:
-            out *= p**k
-        return out
-
 
 class PrimeSieve:
     """Segmented Eratosthenes sieve that grows on demand.
@@ -122,6 +116,10 @@ class PrimeSieve:
             raise CapacityExceeded(
                 f"indexing prime {p} needs sieving past the ceiling {self._ceiling}"
             )
+        # Trial division needs primes only up to sqrt(p); sieve to p only
+        # once p is known to be prime.
+        if self.factorize(p).omega != 1:
+            raise NotPrime(f"{p} is not a prime")
         self._ensure(p)
         i = bisect_left(self._primes, p)
         if i == len(self._primes) or self._primes[i] != p:

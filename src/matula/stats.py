@@ -2,8 +2,8 @@
 
 Every statistic is one ``Statistic`` record in ``_RECORDS``, and
 ``StatName``, ``DESCRIPTIONS`` and ``OEIS_IDS`` are built from the records.
-Adding a statistic means one record here, one definition in the oracle and
-one row in the README table.
+Adding a statistic means one record here, one ``_DEFINITIONS`` entry in
+the oracle and one row in the README table.
 
 The engine memoizes one dict per (statistic, alpha), keyed by n.  Every
 child of n is smaller than n (t = pi(p) < p, and r, n/r < n for the

@@ -145,6 +145,31 @@ def test_verify_limit(capsys):
     assert "verified 10 terms" in out
 
 
+def test_verify_limit_zero_checks_nothing(capsys):
+    code, out, _ = run(
+        capsys, "verify", "V", str(FIXTURES / "b061775_oracle.txt"), "--limit", "0"
+    )
+    assert code == EXIT_OK
+    assert "verified 0 terms" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "V", str(FIXTURES / "b061775_oracle.txt"), "--limit", "-1"],
+        ["verify", "V", str(FIXTURES / "b061775_oracle.txt"), "--limit", "x"],
+        ["selftest", "--max-n", "0"],
+        ["selftest", "--max-n", "-3"],
+        ["selftest", "--max-n", "1.5"],
+    ],
+)
+def test_count_options_out_of_range_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
 def test_verify_reports_mismatch(capsys, tmp_path):
     text = (FIXTURES / "b061775_oracle.txt").read_text()
     lines = text.splitlines()

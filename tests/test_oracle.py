@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from matula import oracle
 from matula.errors import BudgetExceeded, InvalidInput
 from matula.oracle import (
     analyze,
@@ -57,6 +59,8 @@ def test_distance_matrix_shape():
                 assert 0 <= an.dist[i][j] <= dm
         degs = an.degrees()
         assert sum(degs) == 2 * len(an.edges)
+        upper = [an.dist[i][j] for i in range(m) for j in range(i + 1, m)]
+        assert an.pair_dists == upper
 
 
 def test_oracle_spot_values():
@@ -138,6 +142,42 @@ def test_compare_all_flags_disagreement():
     engine._memo["W", None] = {9: 21}  # sabotage the memo
     problems = compare_all(9, engine)
     assert any("W" in p for p in problems)
+
+
+def test_compare_all_flags_float_alpha_disagreement():
+    engine = StatsEngine()
+    engine._memo["R_ALPHA", -0.5] = {9: 9.5}  # the float-alpha memo
+    problems = compare_all(9, engine)
+    assert len(problems) == 1
+    assert problems[0].startswith("n=9 R_ALPHA[alpha=-0.5]: recursion 9.5 != oracle")
+
+
+def test_compare_all_flags_level_count_disagreement():
+    engine = StatsEngine()
+    # 9 is the 5-vertex path rooted at its centre: PWP(9) = 2x + 2x^2
+    engine._memo["PWP", None] = {9: IntPolynomial((0, 2, 3))}
+    problems = compare_all(9, engine)
+    assert "n=9 LEVEL_COUNT[k=2]: recursion 3 != oracle 2" in problems
+    assert not any("LEVEL_COUNT[k=1]" in p for p in problems)
+
+
+def test_every_statistic_has_one_oracle_definition():
+    assert set(oracle._DEFINITIONS) == set(StatName)
+
+
+def test_oracle_parameter_conventions():
+    an = analyze(decode(9))
+    for name in (S.A_ALPHA, S.R_ALPHA):
+        with pytest.raises(InvalidInput, match=f"^{name.value} requires alpha$"):
+            oracle_value(an, name)
+    with pytest.raises(InvalidInput, match="^LEVEL_COUNT requires k$"):
+        oracle_value(an, S.LEVEL_COUNT)
+    assert oracle_value(an, S.POLARITY) == oracle_value(an, S.POLARITY, k=3) == 2
+    # exact alphas give int or Fraction, the others float
+    assert oracle_value(an, S.R_ALPHA, alpha=-1) == Fraction(3, 2)
+    assert type(oracle_value(an, S.A_ALPHA, alpha=2.0)) is int
+    empty_sum = oracle_value(analyze(decode(1)), S.R_ALPHA, alpha=-0.5)
+    assert empty_sum == 0.0 and type(empty_sum) is float
 
 
 def test_random_split_check_unique_split():

@@ -1,3 +1,4 @@
+import math
 import random
 import threading
 
@@ -39,6 +40,13 @@ def test_prime_index_rejects_composites():
             prime_index(bad)
 
 
+def test_prime_index_rejects_composites_without_sieving_to_them():
+    sieve = PrimeSieve()
+    with pytest.raises(NotPrime):
+        sieve.prime_index(987654321)
+    assert sieve._limit <= 10**6
+
+
 def test_prime_index_roundtrip():
     for m in range(1, 400):
         assert prime_index(nth_prime(m)) == m
@@ -55,7 +63,7 @@ def test_factorize_one():
     fz = factorize(1)
     assert fz.factors == ()
     assert fz.omega == 0
-    assert fz.product() == 1
+    assert math.prod(p**k for p, k in fz.factors) == 1
 
 
 def test_factorize_rejects_zero():
@@ -68,7 +76,7 @@ def test_factorize_rejects_zero():
 def test_factorize_recomposes():
     for n in range(1, 3000):
         fz = factorize(n)
-        assert fz.product() == n
+        assert math.prod(p**k for p, k in fz.factors) == n
         assert fz.omega == sum(k for _, k in fz.factors)
         ps = [p for p, _ in fz.factors]
         assert ps == sorted(ps)
