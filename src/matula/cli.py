@@ -106,12 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", type=_stat_name)
     p.add_argument("n", type=_int_arg)
     p.add_argument("--alpha", type=_alpha, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("table", help="print 'n value' lines for a range of n")
     p.add_argument("name", type=_stat_name)
-    p.add_argument("lo", type=_int_arg)
-    p.add_argument("hi", type=_int_arg)
+    p.add_argument("lo", type=_int_at_least(1))
+    p.add_argument("hi", type=_int_at_least(1))
     p.add_argument("--bfile", action="store_true", help="integer-only b-file output")
     p.add_argument("--alpha", type=_alpha, default=None)
 
@@ -155,6 +155,7 @@ def _cmd_stat(args) -> int:
 
 def _cmd_table(args) -> int:
     engine = stats.default_engine()
+    engine.fill(args.name, args.lo, args.hi, alpha=args.alpha)
     for n in range(args.lo, args.hi + 1):
         value = engine.compute(args.name, n, alpha=args.alpha)
         if args.bfile and not isinstance(value, int):
@@ -219,7 +220,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "table" and args.lo > args.hi:
+        parser.error(f"table needs lo <= hi, got lo={args.lo} hi={args.hi}")
     try:
         return _COMMANDS[args.command](args)
     except MatulaError as exc:

@@ -275,9 +275,14 @@ def oracle_value(an: TreeAnalysis, name: StatName, alpha=None, k: int | None = N
     """Compute a statistic from the analysis using only its definition.
 
     Parameter conventions (which parameter, its default) come from the
-    statistic's record; a missing alpha is rejected.
+    statistic's record; a missing alpha and a parameter the statistic does
+    not take are rejected, with the engine's messages.
     """
     stat = STATISTICS[name]
+    if alpha is not None and stat.param != "alpha":
+        raise InvalidInput(f"{name.value} takes no alpha parameter")
+    if k is not None and stat.param != "k":
+        raise InvalidInput(f"{name.value} takes no k parameter")
     define = _DEFINITIONS[name]
     if stat.param is None:
         return define(an, None)

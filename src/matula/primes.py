@@ -2,9 +2,10 @@
 
 A lazily grown segmented sieve backs three queries: the m-th prime, the
 index (order) of a given prime, and factorization into sorted
-(prime, multiplicity) pairs.  Everything is exact and deterministic;
-requests that would need primes beyond the configured ceiling raise
-CapacityExceeded instead of grinding forever.
+(prime, multiplicity) pairs.  ``smallest_prime_factors`` sieves one range
+on its own, for passes over every n in it.  Everything is exact and
+deterministic; requests that would need primes beyond the configured
+ceiling raise CapacityExceeded instead of grinding forever.
 """
 
 from __future__ import annotations
@@ -163,6 +164,27 @@ class PrimeSieve:
         result = Factorization(tuple(factors), sum(k for _, k in factors))
         self._factor_cache[n] = result
         return result
+
+
+def smallest_prime_factors(lo: int, hi: int) -> list[int]:
+    """Smallest prime factor of each composite n in [lo, hi]; 0 at primes and 1.
+
+    ``result[n - lo]`` belongs to n.  A local sieve supplies the primes up
+    to sqrt(hi), so the shared sieve is neither read nor grown.
+    """
+    root = isqrt(hi)
+    is_prime = bytearray(b"\x01") * (root + 1)
+    base = []
+    for p in range(2, root + 1):
+        if is_prime[p]:
+            base.append(p)
+            is_prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    spf = [0] * (hi - lo + 1)
+    # Largest prime first, so that each n ends up marked by its smallest.
+    for p in reversed(base):
+        start = max(p * p, -(-lo // p) * p)
+        spf[start - lo :: p] = [p] * len(range(start, hi + 1, p))
+    return spf
 
 
 _default: PrimeSieve | None = None

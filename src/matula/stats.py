@@ -9,7 +9,9 @@ The engine memoizes one dict per (statistic, alpha), keyed by n.  Every
 child of n is smaller than n (t = pi(p) < p, and r, n/r < n for the
 composite split), so it collects the part of n's DAG that is not yet
 memoized with an explicit stack and fills the memo in ascending n; stack
-depth does not grow with n.  The composite split is always r = smallest
+depth does not grow with n.  ``StatsEngine.fill`` memoizes a whole range
+of n in one ascending pass, taking the children from a smallest-prime-factor
+sieve of the range instead.  The composite split is always r = smallest
 prime factor, which keeps r prime (required by the BV and TW rules) and
 makes the recursion shape canonical.
 
@@ -43,9 +45,10 @@ class Statistic:
     At n in ``base`` the value is ``base[n]``; at a prime n = p_t it is
     ``prime(t, *tables)``; at a composite n = r*s it is
     ``composite(r, s, *tables)``.  ``tables`` follow ``reads``: a
-    statistic's name gives its memo at the same alpha, a (name, alpha)
-    pair its memo at that alpha, "OMEGA" the function m -> Omega(m) (the
-    degree of the root of m's tree) and "POW" the function b -> b**alpha.
+    statistic's name gives its memo (at the same alpha if it takes one), a
+    (name, alpha) pair its memo at that alpha, "OMEGA" the memo of Omega(m)
+    (the degree of the root of m's tree) and "POW" the function
+    b -> b**alpha.
     A derived statistic has no recursion: its value is
     ``derive(value of reads[0] at n, k)``.
 
@@ -93,8 +96,8 @@ _RECORDS = (
               lambda t, LV: LV[t],
               lambda r, s, LV: LV[r] + LV[s]),
     Statistic("MD", "A196046", "maximum vertex degree", {1: 0}, ("MD", "OMEGA"),
-              lambda t, MD, w: max(MD[t], 1 + w(t)),
-              lambda r, s, MD, w: max(MD[r], MD[s], w(r) + w(s))),
+              lambda t, MD, w: max(MD[t], 1 + w[t]),
+              lambda r, s, MD, w: max(MD[r], MD[s], w[r] + w[s])),
     Statistic("DM", "A196058", "diameter", {1: 0}, ("DM", "H"),
               lambda t, DM, H: max(DM[t], 1 + H[t]),
               lambda r, s, DM, H: max(DM[r], DM[s], H[r] + H[s])),
@@ -107,8 +110,8 @@ _RECORDS = (
               lambda r, s, EPL, LV: EPL[r] + EPL[s]),
     Statistic("BV", "A196049", "number of branching vertices (degree >= 3)",
               {1: 0}, ("BV", "OMEGA"),
-              lambda t, BV, w: BV[t] + (1 if w(t) == 2 else 0),
-              lambda r, s, BV, w: BV[r] + BV[s] + (1 if w(s) == 2 else 0),
+              lambda t, BV, w: BV[t] + (1 if w[t] == 2 else 0),
+              lambda r, s, BV, w: BV[r] + BV[s] + (1 if w[s] == 2 else 0),
               prime_split=True),
     Statistic("PV", "A196067", "number of pendant vertices (degree 1)",
               {1: 0, 2: 2}, ("LV",),
@@ -116,7 +119,7 @@ _RECORDS = (
               lambda r, s, LV: LV[r] + LV[s]),
     Statistic("SP", "A196057", "number of sibling pairs", {1: 0}, ("SP", "OMEGA"),
               lambda t, SP, w: SP[t],
-              lambda r, s, SP, w: SP[r] + SP[s] + w(r) * w(s)),
+              lambda r, s, SP, w: SP[r] + SP[s] + w[r] * w[s]),
     Statistic("VL", "A196068", "visitation length (vertices + path length)",
               {1: 1}, ("VL", "V"),
               lambda t, VL, V: VL[t] + V[t] + 1,
@@ -139,59 +142,59 @@ _RECORDS = (
     # s-part's root (at a prime: t's root) was pendant only when s (t) is.
     Statistic("TW", "A196055", "terminal Wiener index (pendant pairs only)",
               {1: 0, 2: 1}, ("TW", "LV", "EPL", "OMEGA"),
-              lambda t, TW, LV, EPL, w: TW[t] + LV[t] + (0 if w(t) == 1 else EPL[t]),
+              lambda t, TW, LV, EPL, w: TW[t] + LV[t] + (0 if w[t] == 1 else EPL[t]),
               lambda r, s, TW, LV, EPL, w: (
-                  TW[r] - EPL[r] + TW[s] - (EPL[s] if w(s) == 1 else 0)
+                  TW[r] - EPL[r] + TW[s] - (EPL[s] if w[s] == 1 else 0)
                   + EPL[r] * LV[s] + EPL[s] * LV[r]),
               prime_split=True),
     Statistic("Z1", "A196053", "first Zagreb index (sum of squared degrees)",
               {1: 0}, ("Z1", "OMEGA"),
-              lambda t, Z1, w: Z1[t] + 2 + 2 * w(t),
+              lambda t, Z1, w: Z1[t] + 2 + 2 * w[t],
               lambda r, s, Z1, w: (
-                  Z1[r] + Z1[s] - w(r) ** 2 - w(s) ** 2 + (w(r) + w(s)) ** 2)),
+                  Z1[r] + Z1[s] - w[r] ** 2 - w[s] ** 2 + (w[r] + w[s]) ** 2)),
     Statistic("Z2", "A196054",
               "second Zagreb index (sum of degree products over edges)",
               {1: 0}, ("Z2", ("A_ALPHA", 1), "OMEGA"),
-              lambda t, Z2, A, w: Z2[t] + A[t] + w(t) + 1,
-              lambda r, s, Z2, A, w: Z2[r] + Z2[s] + A[r] * w(s) + A[s] * w(r)),
+              lambda t, Z2, A, w: Z2[t] + A[t] + w[t] + 1,
+              lambda r, s, Z2, A, w: Z2[r] + Z2[s] + A[r] * w[s] + A[s] * w[r]),
     Statistic("NK", "A196063", "Narumi-Katayama index (product of degrees)",
               {1: 0, 2: 1}, ("NK", "OMEGA"),
-              lambda t, NK, w: NK[t] * (1 + Fraction(1, w(t))),
+              lambda t, NK, w: NK[t] * (1 + Fraction(1, w[t])),
               lambda r, s, NK, w: (
-                  NK[r] * NK[s] * (Fraction(1, w(r)) + Fraction(1, w(s)))),
+                  NK[r] * NK[s] * (Fraction(1, w[r]) + Fraction(1, w[s]))),
               kind="multiplicative", integral=True, degree_power=lambda d: 1),
     Statistic("MZ1", "A196065",
               "first multiplicative Zagreb index (product of squared degrees)",
               {1: 0, 2: 1}, ("MZ1", "OMEGA"),
-              lambda t, MZ1, w: MZ1[t] * (1 + Fraction(1, w(t))) ** 2,
+              lambda t, MZ1, w: MZ1[t] * (1 + Fraction(1, w[t])) ** 2,
               lambda r, s, MZ1, w: (
-                  MZ1[r] * MZ1[s] * (Fraction(1, w(r)) + Fraction(1, w(s))) ** 2),
+                  MZ1[r] * MZ1[s] * (Fraction(1, w[r]) + Fraction(1, w[s])) ** 2),
               kind="multiplicative", integral=True, degree_power=lambda d: 2),
     Statistic("MZ2", "A196064",
               "second multiplicative Zagreb index (product over edges)",
               {1: 0, 2: 1}, ("MZ2", "OMEGA"),
               lambda t, MZ2, w: (
-                  MZ2[t] * Fraction((1 + w(t)) ** (1 + w(t)), w(t) ** w(t))),
+                  MZ2[t] * Fraction((1 + w[t]) ** (1 + w[t]), w[t] ** w[t])),
               lambda r, s, MZ2, w: MZ2[r] * MZ2[s] * Fraction(
-                  (w(r) + w(s)) ** (w(r) + w(s)), w(r) ** w(r) * w(s) ** w(s)),
+                  (w[r] + w[s]) ** (w[r] + w[s]), w[r] ** w[r] * w[s] ** w[s]),
               kind="multiplicative", integral=True, degree_power=lambda d: d),
     Statistic("A_ALPHA", "A196052", "sum of degree^alpha over level-1 vertices",
               {1: 0}, ("A_ALPHA", "OMEGA", "POW"),
-              lambda t, A, w, p: p(1 + w(t)),
+              lambda t, A, w, p: p(1 + w[t]),
               lambda r, s, A, w, p: A[r] + A[s],
               kind="alpha", param="alpha", default=1, aliases=("A",)),
-    # A(t) = 0 only at t = 1, where w(t) = 0 and 0**alpha is undefined for
+    # A(t) = 0 only at t = 1, where w[t] = 0 and 0**alpha is undefined for
     # negative alpha; the guard skips that term, which is 0 anyway.
     Statistic("R_ALPHA", None,
               "general Randic index (sum over edges of (deg*deg)^alpha)",
               {1: 0}, ("R_ALPHA", "A_ALPHA", "OMEGA", "POW"),
               lambda t, R, A, w, p: (
-                  R[t] + p(1 + w(t))
-                  + (A[t] * (p(1 + w(t)) - p(w(t))) if A[t] else 0)),
+                  R[t] + p(1 + w[t])
+                  + (A[t] * (p(1 + w[t]) - p(w[t])) if A[t] else 0)),
               lambda r, s, R, A, w, p: (
                   R[r] + R[s]
-                  + A[r] * (p(w(r) + w(s)) - p(w(r)))
-                  + A[s] * (p(w(r) + w(s)) - p(w(s)))),
+                  + A[r] * (p(w[r] + w[s]) - p(w[r]))
+                  + A[s] * (p(w[r] + w[s]) - p(w[s]))),
               kind="alpha", param="alpha", default=Fraction(-1, 2),
               aliases=("R", "RANDIC")),
     Statistic("PWP", "A196056", "partial Wiener polynomial with respect to the root",
@@ -206,10 +209,10 @@ _RECORDS = (
               kind="polynomial"),
     Statistic("DSP", "A182907", "degree sequence polynomial (vertices by degree)",
               {1: ONE}, ("DSP", "OMEGA"),
-              lambda t, DSP, w: DSP[t] + _monomial(w(t)) * (X - 1) + X,
+              lambda t, DSP, w: DSP[t] + _monomial(w[t]) * (X - 1) + X,
               lambda r, s, DSP, w: (
-                  DSP[r] + DSP[s] - _monomial(w(r)) - _monomial(w(s))
-                  + _monomial(w(r) + w(s))),
+                  DSP[r] + DSP[s] - _monomial(w[r]) - _monomial(w[s])
+                  + _monomial(w[r] + w[s])),
               kind="polynomial"),
     Statistic("EDP", "A184167", "exit-distance polynomial (vertices by exit distance)",
               {1: ONE}, ("EDP", "LLL"),
@@ -277,8 +280,14 @@ DESCRIPTIONS: dict[StatName, str] = {n: s.description for n, s in STATISTICS.ite
 #: OEIS sequence ids, kept as data.  None where no single sequence applies.
 OEIS_IDS: dict[StatName, str | None] = {n: s.oeis for n, s in STATISTICS.items()}
 
+# Omega(m), the number of prime factors of m counted with multiplicity, is
+# evaluated like a statistic so that rules read it from a memo; it is not
+# one of the statistics, so it stays out of _RECORDS.
+_OMEGA = Statistic("OMEGA", None, "number of prime factors with multiplicity",
+                   {1: 0}, ("OMEGA",), lambda t, w: 1, lambda r, s, w: w[r] + w[s])
+
 _ALIASES = {alias: s.name for s in _RECORDS for alias in s.aliases}
-_BY_NAME = {s.name: s for s in _RECORDS}
+_BY_NAME = {s.name: s for s in (*_RECORDS, _OMEGA)}
 
 
 def _simplify(v):
@@ -295,6 +304,22 @@ def _finish(stat: Statistic, n: int, v, alpha):
     if stat.integral and isinstance(v, Fraction):
         raise InternalIntegrityError(f"{stat.name}({n}) came out non-integral: {v}")
     return v
+
+
+def _step(plan: list, m: int, kids: tuple[int, ...]) -> None:
+    """Memoize m in each memo of plan that lacks it; kids are memoized already.
+
+    kids are (t,) when m = p_t is prime and (r, m // r) when m is composite.
+    """
+    for dep, a, memo, tables in plan:
+        if m not in memo:
+            v = dep.base.get(m)
+            if v is None:
+                rule = dep.prime if len(kids) == 1 else dep.composite
+                v = rule(*kids, *tables)
+            if dep.integral or a is not None:  # else never a Fraction
+                v = _finish(dep, m, v, a)
+            memo[m] = v
 
 
 def _pow(base: int, alpha):
@@ -320,9 +345,6 @@ class StatsEngine:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InvalidInput(f"n must be a positive integer, got {n!r}")
 
-    def _omega(self, m: int) -> int:
-        return self._sieve.factorize(m).omega
-
     def _plan(self, stat: Statistic, alpha) -> tuple[list, list]:
         """Return (entries, memos) for evaluating stat at alpha.
 
@@ -335,15 +357,18 @@ class StatsEngine:
             for name, a in keys:  # keys grows as new reads turn up
                 tables = []
                 for read in _BY_NAME[name].reads:
-                    if read == "OMEGA":
-                        tables.append(self._omega)
-                    elif read == "POW":
+                    if read == "POW":
                         tables.append(lambda b, a=a: _pow(b, a))
-                    else:
-                        read_key = read if isinstance(read, tuple) else (read, a)
-                        if read_key not in keys:
-                            keys.append(read_key)
-                        tables.append(self._memo.setdefault(read_key, {}))
+                        continue
+                    if isinstance(read, tuple):
+                        read_key = read
+                    elif _BY_NAME[read].param == "alpha":
+                        read_key = (read, a)
+                    else:  # one memo for a statistic that takes no alpha
+                        read_key = (read, None)
+                    if read_key not in keys:
+                        keys.append(read_key)
+                    tables.append(self._memo.setdefault(read_key, {}))
                 memo = self._memo.setdefault((name, a), {})
                 plan.append((_BY_NAME[name], a, memo, tables))
             self._plans[key] = plan, [memo for _, _, memo, _ in plan]
@@ -375,16 +400,7 @@ class StatsEngine:
                         stack.append(kid)
                         break
         for m in sorted(children):
-            kids = children[m]
-            for dep, a, memo, tables in plan:
-                if m not in memo:
-                    v = dep.base.get(m)
-                    if v is None:
-                        rule = dep.prime if len(kids) == 1 else dep.composite
-                        v = rule(*kids, *tables)
-                    if dep.integral or a is not None:  # else never a Fraction
-                        v = _finish(dep, m, v, a)
-                    memo[m] = v
+            _step(plan, m, children[m])
         return memos[0][n]
 
     def _record(self, name: StatName, n: int, kind: str) -> Statistic:
@@ -457,6 +473,47 @@ class StatsEngine:
         self._check_n(n)
         return self._eval(stat, n)
 
+    def fill(self, name: StatName, lo: int, hi: int, alpha=None) -> None:
+        """Memoize what ``compute(name, n, alpha=alpha)`` reads, for lo <= n <= hi.
+
+        One ascending pass takes each n's children from a smallest-prime-factor
+        sieve of the range and each prime's index from a running count, so it
+        neither factorizes nor grows the shared sieve, apart from one
+        ``prime_index`` call that gives pi(lo - 1) when lo > 2.  Children
+        below lo come from the per-n path.  The pass stops at the sieve's
+        ceiling; ``compute`` meets any n past it on its own.
+        """
+        self._check_n(lo)
+        self._check_n(hi)
+        stat = STATISTICS[name]
+        if alpha is not None and stat.param != "alpha":
+            raise InvalidInput(f"{name.value} takes no alpha parameter")
+        if stat.param == "alpha":
+            targets = [(stat, _alpha_mode(stat.default if alpha is None else alpha)[1])]
+        elif stat.kind == "derived":
+            targets = [(_BY_NAME[stat.reads[0]], None)]
+        elif stat.kind == "multiplicative":  # compute also reads DSP
+            targets = [(stat, None), (_BY_NAME["DSP"], None)]
+        else:
+            targets = [(stat, None)]
+        plans = [self._plan(dep, a)[0] for dep, a in targets]
+        index = 0 if lo <= 2 else None  # pi(n) at the last prime n passed
+        spf = primes.smallest_prime_factors(lo, min(hi, self._sieve.ceiling))
+        for n, r in enumerate(spf, lo):
+            if r:
+                kids: tuple[int, ...] = (r, n // r)
+            elif n == 1:
+                kids = ()
+            else:
+                index = self._sieve.prime_index(n) if index is None else index + 1
+                kids = (index,)
+            for kid in kids:
+                if kid < lo:
+                    for dep, a in targets:
+                        self._eval(dep, kid, a)
+            for plan in plans:
+                _step(plan, n, kids)
+
     def composite_value(self, name: StatName, r: int, s: int, alpha=None) -> StatValue:
         """Evaluate a statistic's composite-case rule at the split n = r*s.
 
@@ -471,7 +528,7 @@ class StatsEngine:
         a = _alpha_mode(alpha)[1] if stat.param == "alpha" else None
         if stat.composite is None:
             raise InvalidInput(f"{name.value} has no composite-case rule")
-        if stat.prime_split and self._omega(r) != 1:
+        if stat.prime_split and self._sieve.factorize(r).omega != 1:
             raise InvalidInput(f"the {name.value} composite rule requires a prime r")
         self._eval(stat, r, a)
         self._eval(stat, s, a)

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from matula import stats
 from matula.cli import EXIT_MISMATCH, EXIT_OK, main, parse_bfile
-from matula.errors import ParseError
+from matula.errors import MatulaError, ParseError
 from matula.oracle import analyze, oracle_value
-from matula.stats import StatName
+from matula.stats import StatName, StatsEngine
 from matula.tree import decode
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -120,6 +121,36 @@ def test_table_bfile_roundtrips_through_verify(capsys, tmp_path):
     assert "0 mismatches" in out
 
 
+def _per_n_table(name, lo, hi, bfile=False):
+    """(exit code, stdout, stderr) of `table` computed one n at a time."""
+    engine = StatsEngine()
+    out = []
+    try:
+        for n in range(lo, hi + 1):
+            value = engine.compute(name, n)
+            if bfile and not isinstance(value, int):
+                raise MatulaError(
+                    "--bfile needs an integer-valued statistic, "
+                    f"{name.value} gave {value!r}"
+                )
+            out.append(f"{n} {value}\n")
+    except MatulaError as exc:
+        return 1, "".join(out), f"error: {exc}\n"
+    return EXIT_OK, "".join(out), ""
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 300), (250, 300)])
+def test_table_range_pass_matches_per_n(capsys, monkeypatch, lo, hi):
+    for name in StatName:
+        monkeypatch.setattr(stats, "_default_engine", None)  # a fresh engine
+        got = run(capsys, "table", name.value, str(lo), str(hi))
+        assert got == _per_n_table(name, lo, hi), name
+    monkeypatch.setattr(stats, "_default_engine", None)
+    got = run(capsys, "table", "EDP", "1", "3", "--bfile")
+    assert got == _per_n_table(StatName.EDP, 1, 3, bfile=True)
+    assert got[0] == 1
+
+
 def test_table_bfile_rejects_polynomials(capsys):
     code, _, err = run(capsys, "table", "EDP", "1", "3", "--bfile")
     assert code == 1
@@ -161,6 +192,9 @@ def test_verify_limit_zero_checks_nothing(capsys):
         ["selftest", "--max-n", "0"],
         ["selftest", "--max-n", "-3"],
         ["selftest", "--max-n", "1.5"],
+        ["table", "V", "0", "5"],
+        ["table", "V", "1", "-2"],
+        ["stat", "LEVEL_COUNT", "9", "--k", "-1"],
     ],
 )
 def test_count_options_out_of_range_are_usage_errors(capsys, argv):
@@ -168,6 +202,15 @@ def test_count_options_out_of_range_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "expected an integer" in capsys.readouterr().err
+
+
+def test_table_range_must_not_be_empty(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "V", "5", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lo <= hi" in captured.err
 
 
 def test_verify_reports_mismatch(capsys, tmp_path):

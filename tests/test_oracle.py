@@ -14,7 +14,7 @@ from matula.oracle import (
     subtree_counts,
 )
 from matula.poly import IntPolynomial
-from matula.stats import StatName, StatsEngine
+from matula.stats import STATISTICS, StatName, StatsEngine
 from matula.tree import decode
 
 S = StatName
@@ -178,6 +178,23 @@ def test_oracle_parameter_conventions():
     assert type(oracle_value(an, S.A_ALPHA, alpha=2.0)) is int
     empty_sum = oracle_value(analyze(decode(1)), S.R_ALPHA, alpha=-0.5)
     assert empty_sum == 0.0 and type(empty_sum) is float
+
+
+def test_oracle_rejects_parameters_a_statistic_does_not_take():
+    an = analyze(decode(9))
+    with pytest.raises(InvalidInput, match="^W takes no k parameter$"):
+        oracle_value(an, S.W, k=5)
+    with pytest.raises(InvalidInput, match="^W takes no alpha parameter$"):
+        oracle_value(an, S.W, alpha=2)
+    engine = StatsEngine()
+    for name, stat in STATISTICS.items():
+        for kw in ({"alpha": 2}, {"k": 1}):
+            if stat.param in kw:
+                continue
+            with pytest.raises(InvalidInput) as want:
+                engine.compute(name, 9, **kw)
+            with pytest.raises(InvalidInput, match=f"^{want.value}$"):
+                oracle_value(an, name, **kw)
 
 
 def test_random_split_check_unique_split():

@@ -5,7 +5,13 @@ import threading
 import pytest
 
 from matula.errors import CapacityExceeded, InvalidInput, NotPrime
-from matula.primes import PrimeSieve, factorize, nth_prime, prime_index
+from matula.primes import (
+    PrimeSieve,
+    factorize,
+    nth_prime,
+    prime_index,
+    smallest_prime_factors,
+)
 
 
 def test_nth_prime_known_values():
@@ -89,6 +95,17 @@ def test_omega_is_additive():
         r = rng.randrange(2, 5000)
         s = rng.randrange(2, 5000)
         assert factorize(r * s).omega == factorize(r).omega + factorize(s).omega
+
+
+def test_smallest_prime_factors_of_a_range():
+    windows = ((1, 1), (1, 2), (1, 2000), (97, 97), (961, 961), (10**6 - 40, 10**6 + 40))
+    for lo, hi in windows:
+        want = []
+        for n in range(lo, hi + 1):
+            fz = factorize(n)
+            want.append(fz.factors[0][0] if fz.omega > 1 else 0)
+        assert smallest_prime_factors(lo, hi) == want
+    assert smallest_prime_factors(5, 3) == []
 
 
 def test_fresh_sieve_grows_lazily():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matula.errors import InvalidInput, UnsupportedName
+from matula.errors import CapacityExceeded, InvalidInput, UnsupportedName
 from matula.poly import ZERO, IntPolynomial
 from matula.primes import PrimeSieve
 from matula.stats import DESCRIPTIONS, OEIS_IDS, STATISTICS, StatName, StatsEngine
@@ -241,6 +241,89 @@ def test_deep_powers_need_no_call_stack():
     assert str(engine.poly_stat(S.WP, n)) == "2000*x + 1999000*x^2"
     assert engine.multiplicative_stat(S.NK, n) == 2000
     assert engine.randic(n, -1) == 1
+
+
+def _fill_cases():
+    """(name, alpha keywords) for every statistic, alpha statistics at four alphas."""
+    for name, stat in STATISTICS.items():
+        if stat.param == "alpha":
+            for alpha in (1, 2, -1, Fraction(-1, 2)):
+                yield name, {"alpha": alpha}
+        else:
+            yield name, {}
+
+
+def _line_values(engine, name, kw, lo, hi):
+    """(type, value) of compute() at each n in [lo, hi], as `table` calls it."""
+    values = []
+    for n in range(lo, hi + 1):
+        k = {"k": n % 5} if name is S.LEVEL_COUNT else {}
+        v = engine.compute(name, n, **kw, **k)
+        values.append((type(v), v))
+    return values
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 600), (500, 700), (97, 97)])
+def test_fill_gives_the_per_n_values(lo, hi):
+    for name, kw in _fill_cases():
+        sieve = PrimeSieve(initial_bound=1000)
+        filled = StatsEngine(sieve)
+        filled.fill(name, lo, hi, **kw)
+        got = _line_values(filled, name, kw, lo, hi)
+        if lo == 1:  # neither fill nor the computes after it factorized
+            assert not sieve._factor_cache, name
+        assert got == _line_values(StatsEngine(), name, kw, lo, hi), (name, kw)
+
+
+def test_fill_on_a_warm_engine():
+    rng = random.Random(5)
+    names = list(StatName)
+    for name, kw in _fill_cases():
+        warm = StatsEngine()
+        for _ in range(25):
+            other, m = rng.choice(names), rng.randrange(1, 800)
+            warm.compute(other, m, **_params(other, rng.randrange(4)))
+        warm.fill(name, 500, 700, **kw)
+        got = _line_values(warm, name, kw, 500, 700)
+        assert got == _line_values(StatsEngine(), name, kw, 500, 700), (name, kw)
+
+
+def _until_capacity(engine, name, lo, hi):
+    values = []
+    for n in range(lo, hi + 1):
+        try:
+            values.append(engine.compute(name, n))
+        except CapacityExceeded as exc:
+            return values, n, str(exc)
+    return values, None, None
+
+
+def test_fill_stops_at_the_sieve_ceiling():
+    for name in (S.V, S.W, S.NK, S.WP, S.R_ALPHA, S.HYPER_W):
+        per_n = StatsEngine(PrimeSieve(initial_bound=100, ceiling=1000))
+        filled = StatsEngine(PrimeSieve(initial_bound=100, ceiling=1000))
+        filled.fill(name, 900, 1100)
+        want = _until_capacity(per_n, name, 900, 1100)
+        message = "indexing prime 1009 needs sieving past the ceiling 1000"
+        assert want[1:] == (1009, message)
+        assert _until_capacity(filled, name, 900, 1100) == want
+
+
+def test_fill_memory_tracks_the_range():
+    sieve = PrimeSieve()
+    engine = StatsEngine(sieve)
+    engine.fill(S.V, 1, 16000)
+    assert sieve._limit < 10**6
+    assert not sieve._factor_cache
+    assert sorted(engine._memo["V", None]) == list(range(1, 16001))
+
+
+def test_fill_rejects_what_compute_rejects():
+    engine = StatsEngine()
+    with pytest.raises(InvalidInput, match="^W takes no alpha parameter$"):
+        engine.fill(S.W, 1, 10, alpha=2)
+    with pytest.raises(InvalidInput):
+        engine.fill(S.V, 0, 10)
 
 
 def _params(name, choice):
