@@ -10,7 +10,16 @@ class InvalidInput(MatulaError):
 
 
 class CapacityExceeded(MatulaError):
-    """A request needs primes beyond the configured sieve ceiling."""
+    """A request needs primes beyond the configured sieve ceiling.
+
+    ``needed`` is the prime, prime index or square root that was asked for;
+    ``limit`` is the ceiling it exceeds.
+    """
+
+    def __init__(self, message: str, needed: int, limit: int):
+        super().__init__(message)
+        self.needed = needed
+        self.limit = limit
 
 
 class NotPrime(MatulaError):

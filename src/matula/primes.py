@@ -2,8 +2,10 @@
 
 A lazily grown segmented sieve backs three queries: the m-th prime, the
 index (order) of a given prime, and factorization into sorted
-(prime, multiplicity) pairs.  ``smallest_prime_factors`` sieves one range
-on its own, for passes over every n in it.  Everything is exact and
+(prime, multiplicity) pairs.  The sieve keeps one byte per odd number
+plus a running prime count every ``_BLOCK`` odd numbers, so no Python
+int is made per prime.  ``smallest_prime_factors`` sieves one range on
+its own, for passes over every n in it.  Everything is exact and
 deterministic; requests that would need primes beyond the configured
 ceiling raise CapacityExceeded instead of grinding forever.
 """
@@ -11,13 +13,16 @@ ceiling raise CapacityExceeded instead of grinding forever.
 from __future__ import annotations
 
 import threading
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, compress, count, repeat
 from math import isqrt, log
 
 from .errors import CapacityExceeded, InvalidInput, NotPrime
 
-_SEGMENT = 1 << 18
+_SEGMENT = 1 << 18  # odd numbers struck per pass while the sieve grows
+_BLOCK = 512  # odd numbers per prime count; a query scans at most one block
 
 
 @dataclass(frozen=True)
@@ -32,11 +37,14 @@ class Factorization:
 
 
 class PrimeSieve:
-    """Segmented Eratosthenes sieve that grows on demand.
+    """Segmented Eratosthenes sieve over the odd numbers that grows on demand.
 
-    Growth is serialized by an internal lock; the prime list is append-only,
-    so concurrent readers are safe.  ``ceiling`` caps how far the sieve may
-    ever grow.
+    The state is one tuple ``(limit, odd, counts)``, replaced whole when the
+    sieve grows: ``odd[i]`` is 1 when 2i + 1 <= limit is prime, and
+    ``counts[j]`` is the number of ones in ``odd[:j * _BLOCK]``, the last
+    entry counting them all.  Growth is serialized by an internal lock and
+    never mutates a published state, so a concurrent reader sees the old
+    state or the new one.  ``ceiling`` caps how far the sieve may ever grow.
     """
 
     def __init__(self, initial_bound: int = 10**6, ceiling: int = 10**9):
@@ -46,14 +54,24 @@ class PrimeSieve:
             raise InvalidInput("ceiling must be >= initial_bound")
         self._initial = initial_bound
         self._ceiling = ceiling
-        self._limit = 1  # sieved through this value, inclusive
-        self._primes: list[int] = []
+        self._state = (1, bytearray(1), array("L", (0, 0)))  # sieved through 1
         self._factor_cache: dict[int, Factorization] = {}
+        self._nth_cache: dict[int, int] = {}  # answered nth_prime calls
         self._lock = threading.RLock()
 
     @property
     def ceiling(self) -> int:
         return self._ceiling
+
+    @property
+    def _limit(self) -> int:
+        """Sieved through this value, inclusive."""
+        return self._state[0]
+
+    def _count(self) -> int:
+        """pi(limit): the number of primes sieved so far."""
+        limit, _, counts = self._state
+        return counts[-1] + (limit >= 2)
 
     # -- growth -------------------------------------------------------
 
@@ -71,35 +89,56 @@ class PrimeSieve:
         root = isqrt(new_limit)
         if root > self._limit:
             self._extend(root)
-        base = self._primes[: bisect_left(self._primes, root + 1)]
-        low = self._limit + 1
-        while low <= new_limit:
-            high = min(low + _SEGMENT - 1, new_limit)
-            seg = bytearray(b"\x01") * (high - low + 1)
+        _, old, counts = self._state
+        size = (new_limit + 1) // 2  # the odd numbers 1, 3, ... <= new_limit
+        odd = bytearray(b"\x01") * size
+        odd[: len(old)] = old
+        base = list(compress(range(3, root + 1, 2), odd[1 : (root + 1) // 2]))
+        for low in range(len(old), size, _SEGMENT):
+            high = min(low + _SEGMENT, size)
             for p in base:
-                if p * p > high:
+                start = p * p >> 1  # the index of p * p
+                if start >= high:
                     break
-                start = max(p * p, ((low + p - 1) // p) * p)
-                seg[start - low :: p] = bytes((high - start) // p + 1)
-            self._primes.extend(low + i for i, flag in enumerate(seg) if flag)
-            low = high + 1
-        self._limit = new_limit
+                if start < low:
+                    start = low + (start - low) % p
+                odd[start:high:p] = bytes(len(range(start, high, p)))
+        counts = counts[: len(old) // _BLOCK + 1]  # drop a partial last block
+        starts = range((len(counts) - 1) * _BLOCK, size, _BLOCK)
+        ends = range(starts.start + _BLOCK, size + _BLOCK, _BLOCK)
+        tallies = map(odd.count, repeat(1), starts, ends)
+        counts.extend(accumulate(tallies, initial=counts.pop()))
+        self._state = (new_limit, odd, counts)
 
     # -- queries ------------------------------------------------------
 
     def nth_prime(self, m: int) -> int:
         """Return the m-th prime (1-based: nth_prime(1) == 2)."""
+        cached = self._nth_cache.get(m)
+        if cached is not None:
+            return cached
         if m < 1:
             raise InvalidInput(f"prime index must be >= 1, got {m}")
-        if m > len(self._primes):
+        if m > self._count():
             self._ensure(self._nth_prime_bound(m))
-            while m > len(self._primes) and self._limit < self._ceiling:
+            while m > self._count() and self._limit < self._ceiling:
                 self._ensure(2 * self._limit)
-            if m > len(self._primes):
+            if m > self._count():
                 raise CapacityExceeded(
-                    f"prime #{m} lies beyond the sieve ceiling {self._ceiling}"
+                    f"prime #{m} lies beyond the sieve ceiling {self._ceiling}",
+                    needed=m,
+                    limit=self._ceiling,
                 )
-        return self._primes[m - 1]
+        if m == 1:
+            return 2
+        _, odd, counts = self._state
+        j = bisect_left(counts, m - 1) - 1  # block j holds the (m - 1)-th odd prime
+        start = j * _BLOCK
+        numbers = range(2 * start + 1, 2 * (start + _BLOCK), 2)
+        # Cache the whole block: neighbouring indices are often asked for next.
+        block = compress(numbers, odd[start : start + _BLOCK])
+        self._nth_cache.update(zip(count(counts[j] + 2), block))
+        return self._nth_cache[m]
 
     @staticmethod
     def _nth_prime_bound(m: int) -> int:
@@ -115,17 +154,21 @@ class PrimeSieve:
             raise NotPrime(f"{p} is not a prime")
         if p > self._ceiling:
             raise CapacityExceeded(
-                f"indexing prime {p} needs sieving past the ceiling {self._ceiling}"
+                f"indexing prime {p} needs sieving past the ceiling {self._ceiling}",
+                needed=p,
+                limit=self._ceiling,
             )
         # Trial division needs primes only up to sqrt(p); sieve to p only
         # once p is known to be prime.
         if self.factorize(p).omega != 1:
             raise NotPrime(f"{p} is not a prime")
         self._ensure(p)
-        i = bisect_left(self._primes, p)
-        if i == len(self._primes) or self._primes[i] != p:
-            raise NotPrime(f"{p} is not a prime")
-        return i + 1
+        if p == 2:
+            return 1
+        _, odd, counts = self._state
+        i = p >> 1
+        j = i // _BLOCK
+        return 2 + counts[j] + odd.count(1, j * _BLOCK, i)
 
     def factorize(self, n: int) -> Factorization:
         """Trial-divide n over sieved primes; results are cached."""
@@ -136,31 +179,46 @@ class PrimeSieve:
             return cached
         factors: list[tuple[int, int]] = []
         m = n
-        idx = 0
+        tried = 1  # every prime <= tried has been divided out of m
         while m > 1:
-            if idx < len(self._primes):
-                p = self._primes[idx]
-            else:
+            limit, odd, _ = self._state
+            if tried >= limit:  # no sieved prime left to try
                 root = isqrt(m)
-                if self._limit >= root:
-                    p = None  # no untried prime <= sqrt(m): m is prime
-                elif root > self._ceiling:
+                if limit >= root:
+                    break  # no prime <= sqrt(m) divides m: m is prime
+                if root > self._ceiling:
                     raise CapacityExceeded(
-                        f"factoring {n} needs primes past the ceiling {self._ceiling}"
+                        f"factoring {n} needs primes past the ceiling {self._ceiling}",
+                        needed=root,
+                        limit=self._ceiling,
                     )
-                else:
-                    self._ensure(root)
-                    continue
-            if p is None or p * p > m:
-                factors.append((m, 1))
-                break
-            if m % p == 0:
-                k = 0
-                while m % p == 0:
-                    m //= p
-                    k += 1
-                factors.append((p, k))
-            idx += 1
+                self._ensure(root)
+                continue
+            if tried < 2:  # 2, then the odd numbers from 1 (odd[0] is 0)
+                k = (m & -m).bit_length() - 1
+                if k:
+                    m >>= k
+                    factors.append((2, k))
+                candidates = compress(range(1, limit + 1, 2), odd)
+            else:  # the odd numbers past the limit of an earlier state
+                first = (tried + 1) // 2
+                odd_after = range(2 * first + 1, limit + 1, 2)
+                candidates = compress(odd_after, memoryview(odd)[first:])
+            for p in candidates:
+                if p * p > m:
+                    break
+                if m % p == 0:
+                    k = 0
+                    while m % p == 0:
+                        m //= p
+                        k += 1
+                    factors.append((p, k))
+            else:
+                tried = limit
+                continue
+            break
+        if m > 1:
+            factors.append((m, 1))
         result = Factorization(tuple(factors), sum(k for _, k in factors))
         self._factor_cache[n] = result
         return result

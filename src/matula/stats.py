@@ -323,7 +323,14 @@ def _step(plan: list, m: int, kids: tuple[int, ...]) -> None:
 
 
 def _pow(base: int, alpha):
-    return Fraction(base) ** alpha if isinstance(alpha, int) else float(base) ** alpha
+    if isinstance(alpha, int):
+        return Fraction(base) ** alpha
+    try:
+        return float(base) ** alpha
+    except OverflowError:
+        raise InvalidInput(
+            f"{base}**{alpha} overflows a float; alpha {alpha} is too large"
+        ) from None
 
 
 class StatsEngine:

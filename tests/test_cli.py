@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from matula.stats import StatName, StatsEngine
 from matula.tree import decode
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -277,3 +281,28 @@ def test_parse_bfile_offsets_in_bytes():
     with pytest.raises(ParseError) as exc:
         parse_bfile("# ok\n1 1\nbroken\n")
     assert exc.value.offset == 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stat", "V", "0"],
+        ["stat", "V", str(2**400)],
+        ["stat", "V", str(10**51 + 7)],
+        ["stat", "V", "1000000007"],
+        ["stat", "A_ALPHA", "7", "--alpha", "2001/2"],
+    ],
+    ids=["zero", "2**400", "10**51+7", "prime-past-ceiling", "alpha-overflow"],
+)
+def test_extreme_input_exits_without_traceback(argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "matula", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode in (1, 2)
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

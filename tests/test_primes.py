@@ -1,8 +1,14 @@
 import math
 import random
+import sys
 import threading
+import tracemalloc
+from bisect import bisect_right
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matula.errors import CapacityExceeded, InvalidInput, NotPrime
 from matula.primes import (
@@ -113,49 +119,147 @@ def test_fresh_sieve_grows_lazily():
     assert sieve.nth_prime(25) == 97
     assert sieve.prime_index(541) == 100
     assert sieve.factorize(2 * 3 * 541).factors == ((2, 1), (3, 1), (541, 1))
+    assert sieve._limit == 541  # a factor on the sieve's last byte is still tried
+    assert sieve.factorize(541 * 547).factors == ((541, 1), (547, 1))
 
 
 def test_capacity_nth_prime():
     sieve = PrimeSieve(initial_bound=10, ceiling=100)
     assert sieve.nth_prime(25) == 97
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(CapacityExceeded) as exc:
         sieve.nth_prime(26)  # p_26 = 101 > ceiling
+    assert str(exc.value) == "prime #26 lies beyond the sieve ceiling 100"
+    assert (exc.value.needed, exc.value.limit) == (26, 100)
 
 
 def test_capacity_prime_index():
     sieve = PrimeSieve(initial_bound=10, ceiling=100)
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(CapacityExceeded) as exc:
         sieve.prime_index(101)
+    assert str(exc.value) == "indexing prime 101 needs sieving past the ceiling 100"
+    assert (exc.value.needed, exc.value.limit) == (101, 100)
 
 
 def test_capacity_factorize():
     sieve = PrimeSieve(initial_bound=10, ceiling=100)
     # smallest factor is 10007, past any prime the sieve may ever hold
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(CapacityExceeded) as exc:
         sieve.factorize(10007**2)
+    assert str(exc.value) == f"factoring {10007**2} needs primes past the ceiling 100"
+    assert (exc.value.needed, exc.value.limit) == (10007, 100)
     # still fine when sqrt fits under the ceiling
     assert sieve.factorize(9973).factors == ((9973, 1),)
 
 
 def test_concurrent_readers_and_growth():
     sieve = PrimeSieve(initial_bound=10, ceiling=10**6)
-    results: dict[int, list[int]] = {}
+    results: dict[int, list[tuple[int, int]]] = {}
 
     def worker(ident: int):
         rng = random.Random(ident)
         out = []
         for _ in range(200):
             m = rng.randrange(1, 2000)
-            out.append(sieve.nth_prime(m))
+            p = sieve.nth_prime(m)
+            out.append((p, sieve.prime_index(p)))
         results[ident] = out
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-growth too
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
 
+    assert len(results) == len(threads)
     for ident, values in results.items():
         rng = random.Random(ident)
         for got in values:
-            assert got == nth_prime(rng.randrange(1, 2000))
+            m = rng.randrange(1, 2000)
+            assert got == (nth_prime(m), m)
+
+
+@cache
+def _reference_primes(limit: int) -> list[int]:
+    """Every prime <= limit, from a plain sieve of Eratosthenes."""
+    flags = [True] * (limit + 1)
+    flags[0] = flags[1] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(range(p * p, limit + 1, p))
+    return [n for n, flag in enumerate(flags) if flag]
+
+
+_REF_LIMIT = 1_100_000  # past the first 2**18-odd-number segment
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    initial=st.integers(4, 5000),
+    ceiling=st.integers(5000, _REF_LIMIT),
+    queries=st.lists(
+        st.tuples(st.sampled_from(("nth", "index", "factor")), st.floats(0, 1)),
+        min_size=1,
+        max_size=25,
+    ),
+)
+def test_sieve_matches_a_plain_eratosthenes_list(initial, ceiling, queries):
+    """Answers agree with a reference list, whatever the order of the queries.
+
+    Small bounds make the sieve grow many times, across count blocks and
+    sieving segments; the random order mixes cold and warm sieves.
+    """
+    ref = _reference_primes(_REF_LIMIT)
+    primes_below = ref[: bisect_right(ref, ceiling)]
+    sieve = PrimeSieve(initial_bound=initial, ceiling=ceiling)
+    for kind, u in queries:
+        if kind == "nth":
+            m = 1 + int(u * (len(primes_below) + 3))
+            if m <= len(primes_below):
+                assert sieve.nth_prime(m) == primes_below[m - 1]
+            else:
+                with pytest.raises(CapacityExceeded):
+                    sieve.nth_prime(m)
+        elif kind == "index":
+            p = int(u * (ceiling + 3))
+            i = bisect_right(primes_below, p)
+            if p > ceiling:
+                with pytest.raises(CapacityExceeded):
+                    sieve.prime_index(p)
+            elif i and primes_below[i - 1] == p:
+                assert sieve.prime_index(p) == i
+            else:
+                with pytest.raises(NotPrime):
+                    sieve.prime_index(p)
+        else:
+            n = 1 + int(u**3 * ceiling**2)  # up to ceiling**2, mostly small
+            factors, m = [], n
+            for p in ref:
+                if p * p > m:
+                    break
+                k = 0
+                while m % p == 0:
+                    m //= p
+                    k += 1
+                if k:
+                    factors.append((p, k))
+            if m > 1:
+                factors.append((m, 1))
+            assert sieve.factorize(n).factors == tuple(factors)
+
+
+def test_sieving_to_twenty_million_stays_compact():
+    sieve = PrimeSieve()
+    tracemalloc.start()
+    try:
+        assert sieve.prime_index(19999999) == 1270607
+        assert sieve.nth_prime(1270607) == 19999999
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

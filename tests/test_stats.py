@@ -204,6 +204,17 @@ def test_alpha_defaults(engine):
     )
 
 
+@pytest.mark.parametrize("name", [S.A_ALPHA, S.R_ALPHA])
+def test_float_alpha_overflow_is_invalid_input(name):
+    engine = StatsEngine()
+    message = r"^3\*\*1000\.5 overflows a float; alpha 1000\.5 is too large$"
+    with pytest.raises(InvalidInput, match=message):
+        engine.compute(name, 7, alpha=Fraction(2001, 2))
+    with pytest.raises(InvalidInput, match=message):
+        engine.fill(name, 1, 8, alpha=Fraction(2001, 2))
+    assert isinstance(engine.compute(name, 7, alpha=Fraction(-2001, 2)), float)
+
+
 def test_composite_value_split_guard(engine):
     # BV and TW composite rules assume a prime first part
     with pytest.raises(InvalidInput):
