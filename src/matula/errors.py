@@ -39,7 +39,16 @@ class InternalIntegrityError(MatulaError):
 
 
 class BudgetExceeded(MatulaError):
-    """A brute-force computation was asked to exceed its size budget."""
+    """A brute-force computation was asked to exceed its size budget.
+
+    ``needed`` is the size that was asked for, or the size reached when
+    the budget ran out; ``limit`` is the budget.
+    """
+
+    def __init__(self, message: str, needed: int, limit: int):
+        super().__init__(message)
+        self.needed = needed
+        self.limit = limit
 
 
 class UnsupportedName(MatulaError):

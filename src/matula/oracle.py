@@ -76,7 +76,9 @@ def analyze(t: RootedTree, max_vertices: int = 10_000) -> TreeAnalysis:
         node, pi = stack.pop()
         if len(nodes) >= max_vertices:
             raise BudgetExceeded(
-                f"tree exceeds the oracle budget of {max_vertices} vertices"
+                f"tree exceeds the oracle budget of {max_vertices} vertices",
+                needed=len(nodes) + 1,
+                limit=max_vertices,
             )
         i = len(nodes)
         nodes.append(node)
@@ -154,7 +156,9 @@ def subtree_counts(an: TreeAnalysis, method: str = "auto") -> tuple[int, int]:
         if an.vertex_count > _SUBSET_ENUMERATION_MAX:
             raise BudgetExceeded(
                 f"subset enumeration needs <= {_SUBSET_ENUMERATION_MAX} vertices, "
-                f"tree has {an.vertex_count}"
+                f"tree has {an.vertex_count}",
+                needed=an.vertex_count,
+                limit=_SUBSET_ENUMERATION_MAX,
             )
         return _subtrees_by_enumeration(an)
     if method == "dp":

@@ -7,6 +7,7 @@ and degree None.  All arithmetic is exact.
 
 from __future__ import annotations
 
+from operator import add, neg, sub
 from typing import Iterable
 
 from .errors import InvalidInput
@@ -19,6 +20,13 @@ def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _wrap(coeffs: tuple[int, ...]) -> "IntPolynomial":
+    """An IntPolynomial over coeffs, which must have no trailing zero."""
+    p = object.__new__(IntPolynomial)
+    p.coeffs = coeffs
+    return p
+
+
 class IntPolynomial:
     __slots__ = ("coeffs",)
 
@@ -29,9 +37,13 @@ class IntPolynomial:
     def monomial(cls, exponent: int, coefficient: int = 1) -> "IntPolynomial":
         if exponent < 0:
             raise InvalidInput(f"exponent must be >= 0, got {exponent}")
-        return cls((0,) * exponent + (coefficient,))
+        if not coefficient:
+            return cls()
+        return _wrap((0,) * exponent + (coefficient,))
 
     # -- ring arithmetic ------------------------------------------------
+    # Only a sum or difference of equal-length operands can cancel its
+    # leading coefficient; every other result is built already normalized.
 
     def __add__(self, other):
         other = _coerce(other)
@@ -40,10 +52,9 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
+        if len(a) == len(b):
+            return IntPolynomial(map(add, a, b))
+        return _wrap((*map(add, a, b), *a[len(b) :]))
 
     __radd__ = __add__
 
@@ -51,10 +62,12 @@ class IntPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPolynomial(out)
+        a, b = self.coeffs, other.coeffs
+        if len(a) == len(b):
+            return IntPolynomial(map(sub, a, b))
+        if len(a) > len(b):
+            return _wrap((*map(sub, a, b), *a[len(b) :]))
+        return _wrap((*map(sub, a, b), *map(neg, b[len(a) :])))
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -68,18 +81,19 @@ class IntPolynomial:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return IntPolynomial()
+            return ZERO
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        # The leading coefficient is a[-1] * b[-1], which is not 0.
+        return _wrap(tuple(out))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return IntPolynomial(-c for c in self.coeffs)
+        return _wrap(tuple(map(neg, self.coeffs)))
 
     def __eq__(self, other):
         if isinstance(other, IntPolynomial):
@@ -133,7 +147,7 @@ class IntPolynomial:
             raise InvalidInput(f"power must be >= 0, got {power}")
         if not self.coeffs:
             return self
-        return IntPolynomial((0,) * power + self.coeffs)
+        return _wrap((0,) * power + self.coeffs)
 
     # -- rendering --------------------------------------------------------
 
@@ -141,22 +155,24 @@ class IntPolynomial:
         """Render as "c0 + c1*x + c2*x^2", lowest degree first, zero terms omitted."""
         if not self.coeffs:
             return "0"
-        parts: list[str] = []
+        # Every term gets a "+ " or "- " sign; the first one's is then
+        # rewritten as "" or "-".
+        parts = []
         for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            elif k == 1:
-                body = "x" if mag == 1 else f"{mag}*x"
-            else:
-                body = f"x^{k}" if mag == 1 else f"{mag}*x^{k}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            if c:
+                if c > 0:
+                    sign = "+"
+                else:
+                    sign = "-"
+                    c = -c
+                if k > 1:
+                    parts.append(f"{sign} x^{k}" if c == 1 else f"{sign} {c}*x^{k}")
+                elif k:
+                    parts.append(f"{sign} x" if c == 1 else f"{sign} {c}*x")
+                else:
+                    parts.append(f"{sign} {c}")
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.coeffs!r})"

@@ -187,6 +187,10 @@ class PrimeSieve:
                 if limit >= root:
                     break  # no prime <= sqrt(m) divides m: m is prime
                 if root > self._ceiling:
+                    if limit < self._initial:
+                        # A cold sieve first tries the primes any warm one has.
+                        self._ensure(self._initial)
+                        continue
                     raise CapacityExceeded(
                         f"factoring {n} needs primes past the ceiling {self._ceiling}",
                         needed=root,

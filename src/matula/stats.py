@@ -15,8 +15,12 @@ sieve of the range instead.  The composite split is always r = smallest
 prime factor, which keeps r prime (required by the BV and TW rules) and
 makes the recursion shape canonical.
 
-Multiplicative statistics (NK, MZ1, MZ2) pass through exact rationals
-internally and are asserted integral before leaving the engine.
+Every value is computed in exact integers where it is one: the
+multiplicative statistics (NK, MZ1, MZ2) multiply first and then divide
+once through ``_exact``, which raises ``InternalIntegrityError`` instead of
+flooring, and A/R at an integer alpha >= 0 are sums of int powers.  Every
+``compute`` of a multiplicative statistic also checks its value against
+the degree multiset read off DSP.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Callable
 
 from . import primes
@@ -157,26 +162,28 @@ _RECORDS = (
               {1: 0}, ("Z2", ("A_ALPHA", 1), "OMEGA"),
               lambda t, Z2, A, w: Z2[t] + A[t] + w[t] + 1,
               lambda r, s, Z2, A, w: Z2[r] + Z2[s] + A[r] * w[s] + A[s] * w[r]),
+    # NK, MZ1 and MZ2 multiply first and divide once, exactly: the root of
+    # t's tree gains one degree at p_t, and the roots of r and s merge at
+    # r*s, so each rule trades the old root factors for the new one.
     Statistic("NK", "A196063", "Narumi-Katayama index (product of degrees)",
               {1: 0, 2: 1}, ("NK", "OMEGA"),
-              lambda t, NK, w: NK[t] * (1 + Fraction(1, w[t])),
-              lambda r, s, NK, w: (
-                  NK[r] * NK[s] * (Fraction(1, w[r]) + Fraction(1, w[s]))),
+              lambda t, NK, w: _exact(NK[t] * (1 + w[t]), w[t]),
+              lambda r, s, NK, w: _exact(NK[r] * NK[s] * (w[r] + w[s]), w[r] * w[s]),
               kind="multiplicative", integral=True, degree_power=lambda d: 1),
     Statistic("MZ1", "A196065",
               "first multiplicative Zagreb index (product of squared degrees)",
               {1: 0, 2: 1}, ("MZ1", "OMEGA"),
-              lambda t, MZ1, w: MZ1[t] * (1 + Fraction(1, w[t])) ** 2,
-              lambda r, s, MZ1, w: (
-                  MZ1[r] * MZ1[s] * (Fraction(1, w[r]) + Fraction(1, w[s])) ** 2),
+              lambda t, MZ1, w: _exact(MZ1[t] * (1 + w[t]) ** 2, w[t] ** 2),
+              lambda r, s, MZ1, w: _exact(
+                  MZ1[r] * MZ1[s] * (w[r] + w[s]) ** 2, (w[r] * w[s]) ** 2),
               kind="multiplicative", integral=True, degree_power=lambda d: 2),
     Statistic("MZ2", "A196064",
               "second multiplicative Zagreb index (product over edges)",
               {1: 0, 2: 1}, ("MZ2", "OMEGA"),
-              lambda t, MZ2, w: (
-                  MZ2[t] * Fraction((1 + w[t]) ** (1 + w[t]), w[t] ** w[t])),
-              lambda r, s, MZ2, w: MZ2[r] * MZ2[s] * Fraction(
-                  (w[r] + w[s]) ** (w[r] + w[s]), w[r] ** w[r] * w[s] ** w[s]),
+              lambda t, MZ2, w: _exact(MZ2[t] * (1 + w[t]) ** (1 + w[t]), w[t] ** w[t]),
+              lambda r, s, MZ2, w: _exact(
+                  MZ2[r] * MZ2[s] * (w[r] + w[s]) ** (w[r] + w[s]),
+                  w[r] ** w[r] * w[s] ** w[s]),
               kind="multiplicative", integral=True, degree_power=lambda d: d),
     Statistic("A_ALPHA", "A196052", "sum of degree^alpha over level-1 vertices",
               {1: 0}, ("A_ALPHA", "OMEGA", "POW"),
@@ -199,12 +206,12 @@ _RECORDS = (
               aliases=("R", "RANDIC")),
     Statistic("PWP", "A196056", "partial Wiener polynomial with respect to the root",
               {1: ZERO}, ("PWP",),
-              lambda t, PWP: X + X * PWP[t],
+              lambda t, PWP: X + PWP[t].scale_by_x(),
               lambda r, s, PWP: PWP[r] + PWP[s],
               kind="polynomial"),
     Statistic("WP", "A196059", "Wiener polynomial (vertex pairs by distance)",
               {1: ZERO}, ("WP", "PWP"),
-              lambda t, WP, PWP: WP[t] + X * PWP[t] + X,
+              lambda t, WP, PWP: WP[t] + PWP[t].scale_by_x() + X,
               lambda r, s, WP, PWP: WP[r] + WP[s] + PWP[r] * PWP[s],
               kind="polynomial"),
     Statistic("DSP", "A182907", "degree sequence polynomial (vertices by degree)",
@@ -288,6 +295,7 @@ _OMEGA = Statistic("OMEGA", None, "number of prime factors with multiplicity",
 
 _ALIASES = {alias: s.name for s in _RECORDS for alias in s.aliases}
 _BY_NAME = {s.name: s for s in (*_RECORDS, _OMEGA)}
+_NO_MEMO: Any = MappingProxyType({})
 
 
 def _simplify(v):
@@ -306,6 +314,26 @@ def _finish(stat: Statistic, n: int, v, alpha):
     return v
 
 
+class _NotIntegral(InternalIntegrityError):
+    """An exact division in a rule left a remainder.
+
+    The caller of the rule re-raises it as ``InternalIntegrityError``
+    naming the statistic and n, which the rule does not know.
+    """
+
+
+def _exact(num: int, den: int) -> int:
+    """num / den, which must be an integer: never floored."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise _NotIntegral(Fraction(num, den))
+    return q
+
+
+def _not_integral(stat: Statistic, n: int, exc: _NotIntegral) -> InternalIntegrityError:
+    return InternalIntegrityError(f"{stat.name}({n}) came out non-integral: {exc}")
+
+
 def _step(plan: list, m: int, kids: tuple[int, ...]) -> None:
     """Memoize m in each memo of plan that lacks it; kids are memoized already.
 
@@ -316,7 +344,10 @@ def _step(plan: list, m: int, kids: tuple[int, ...]) -> None:
             v = dep.base.get(m)
             if v is None:
                 rule = dep.prime if len(kids) == 1 else dep.composite
-                v = rule(*kids, *tables)
+                try:
+                    v = rule(*kids, *tables)
+                except _NotIntegral as exc:
+                    raise _not_integral(dep, m, exc) from None
             if dep.integral or a is not None:  # else never a Fraction
                 v = _finish(dep, m, v, a)
             memo[m] = v
@@ -324,7 +355,7 @@ def _step(plan: list, m: int, kids: tuple[int, ...]) -> None:
 
 def _pow(base: int, alpha):
     if isinstance(alpha, int):
-        return Fraction(base) ** alpha
+        return base**alpha if alpha >= 0 else Fraction(base) ** alpha
     try:
         return float(base) ** alpha
     except OverflowError:
@@ -428,17 +459,26 @@ class StatsEngine:
 
     def multiplicative_stat(self, name: StatName, n: int) -> int:
         stat = self._record(name, n, "multiplicative")
-        v = self._eval(stat, n)
-        if n >= 2:
-            # Defense in depth: recompute from the degree multiset read off DSP.
-            check = Fraction(1)
-            for deg, count in enumerate(self._eval(_BY_NAME["DSP"], n).coeffs):
-                if count:
-                    check *= Fraction(deg) ** (stat.degree_power(deg) * count)
-            if check != v:
-                raise InternalIntegrityError(
-                    f"{name.value}({n}): recursion gave {v}, degree multiset gives {check}"
-                )
+        return self._check_degrees(stat, n, self._eval(stat, n))
+
+    def _check_degrees(self, stat: Statistic, n: int, v: int) -> int:
+        """Return v after recomputing it from the degree multiset read off DSP.
+
+        Defense in depth: runs on every call, memoized or not.
+        """
+        if n < 2:
+            return v
+        dsp = self._memo.get(("DSP", None), _NO_MEMO).get(n)
+        if dsp is None:
+            dsp = self._eval(_BY_NAME["DSP"], n)
+        power = stat.degree_power
+        check = math.prod(
+            deg ** (power(deg) * count) for deg, count in enumerate(dsp.coeffs) if count
+        )
+        if check != v:
+            raise InternalIntegrityError(
+                f"{stat.name}({n}): recursion gave {v}, degree multiset gives {check}"
+            )
         return v
 
     def a_alpha(self, n: int, alpha) -> StatValue:
@@ -466,7 +506,18 @@ class StatsEngine:
         self, name: StatName, n: int, alpha=None, k: int | None = None
     ) -> StatValue:
         """Dispatch to the right operation for any statistic name."""
-        stat = STATISTICS[name]
+        try:
+            stat = _BY_NAME[name._value_]  # a str key: no Enum.__hash__ call
+        except AttributeError:
+            stat = STATISTICS[name]
+        if stat.param is None and alpha is None and k is None and type(n) is int and n > 0:
+            # No check below can fail here, so a memoized value costs one
+            # lookup in the live memo.  Derived statistics have no memo.
+            v = self._memo.get((stat.name, None), _NO_MEMO).get(n)
+            if v is not None:
+                if stat.kind == "multiplicative":
+                    return self._check_degrees(stat, n, v)
+                return v
         if alpha is not None and stat.param != "alpha":
             raise InvalidInput(f"{name.value} takes no alpha parameter")
         if k is not None and stat.kind != "derived":
@@ -540,7 +591,10 @@ class StatsEngine:
         self._eval(stat, r, a)
         self._eval(stat, s, a)
         entries, _ = self._plan(stat, a)
-        value = stat.composite(r, s, *entries[0][3])
+        try:
+            value = stat.composite(r, s, *entries[0][3])
+        except _NotIntegral as exc:
+            raise _not_integral(stat, r * s, exc) from None
         return _finish(stat, r * s, value, a)
 
 

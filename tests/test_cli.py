@@ -283,26 +283,36 @@ def test_parse_bfile_offsets_in_bytes():
     assert exc.value.offset == 9
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["stat", "V", "0"],
-        ["stat", "V", str(2**400)],
-        ["stat", "V", str(10**51 + 7)],
-        ["stat", "V", "1000000007"],
-        ["stat", "A_ALPHA", "7", "--alpha", "2001/2"],
-    ],
-    ids=["zero", "2**400", "10**51+7", "prime-past-ceiling", "alpha-overflow"],
-)
-def test_extreme_input_exits_without_traceback(argv):
+def _run_matula(argv):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "matula", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stat", "V", "0"],
+        ["stat", "V", str(10**51 + 7)],
+        ["stat", "V", str(3 * (10**51 + 7))],
+        ["stat", "V", "1000000007"],
+        ["stat", "A_ALPHA", "7", "--alpha", "2001/2"],
+    ],
+    ids=["zero", "10**51+7", "3*(10**51+7)", "prime-past-ceiling", "alpha-overflow"],
+)
+def test_extreme_input_exits_without_traceback(argv):
+    proc = _run_matula(argv)
     assert proc.returncode in (1, 2)
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_fresh_process_answers_a_power_past_the_ceiling():
+    # sqrt(2**400) is past the sieve ceiling, but 2 divides it out.
+    proc = _run_matula(["stat", "V", str(2**400)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "401\n", "")

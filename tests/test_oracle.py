@@ -88,15 +88,19 @@ def test_enumeration_matches_dp():
 
 def test_enumeration_budget():
     an = analyze(decode(3 ** 17))  # 35 vertices
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         subtree_counts(an, "enumerate")
+    assert str(exc.value) == "subset enumeration needs <= 16 vertices, tree has 35"
+    assert (exc.value.needed, exc.value.limit) == (35, 16)
     st, rst = subtree_counts(an, "auto")  # falls back to the dp route
     assert st > rst > 0
 
 
 def test_analysis_budget():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         analyze(decode(2 ** 30), max_vertices=10)
+    assert str(exc.value) == "tree exceeds the oracle budget of 10 vertices"
+    assert (exc.value.needed, exc.value.limit) == (11, 10)
 
 
 def _exit_labels_by_procedure(an):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matula.errors import InvalidInput
 from matula.poly import ONE, X, ZERO, IntPolynomial
@@ -104,3 +106,90 @@ def test_int_coercion():
     assert 1 - X == IntPolynomial((1, -1))
     assert X - 1 == IntPolynomial((-1, 1))
     assert sum([X, X, ONE]) == IntPolynomial((1, 2))
+
+
+def _reference_str(coeffs) -> str:
+    """The renderer as first written, kept as the reference for ``__str__``."""
+    if not coeffs:
+        return "0"
+    parts: list[str] = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        elif k == 1:
+            body = "x" if mag == 1 else f"{mag}*x"
+        else:
+            body = f"x^{k}" if mag == 1 else f"{mag}*x^{k}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _terms(coeffs) -> dict[int, int]:
+    return {k: c for k, c in enumerate(coeffs) if c}
+
+
+def _combine(p: dict, q: dict, sign: int) -> dict[int, int]:
+    out = dict(p)
+    for k, c in q.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _product(p: dict, q: dict) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
+def _coeffs(terms: dict[int, int]) -> tuple[int, ...]:
+    return tuple(terms.get(k, 0) for k in range(max(terms, default=-1) + 1))
+
+
+_small = st.integers(-3, 3)
+
+
+@st.composite
+def _operands(draw):
+    """Two coefficient lists; often equal-length with a cancelling tail."""
+    a = draw(st.lists(_small, max_size=8))
+    b = draw(st.lists(_small, max_size=8))
+    if a and draw(st.booleans()):
+        tail = draw(st.integers(1, len(a)))
+        sign = draw(st.sampled_from([1, -1]))
+        head = draw(st.lists(_small, min_size=len(a) - tail, max_size=len(a) - tail))
+        b = head + [sign * c for c in a[len(a) - tail :]]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands(), st.integers(-4, 4), st.integers(0, 3))
+def test_arithmetic_matches_a_reference(operands, c, power):
+    a, b = operands
+    p, q = IntPolynomial(a), IntPolynomial(b)
+    tp, tq, tc = _terms(a), _terms(b), _terms([c])
+    shifted = {k + power: v for k, v in tp.items()}
+    expected = [
+        (p + q, _combine(tp, tq, 1)),
+        (p - q, _combine(tp, tq, -1)),
+        (q - p, _combine(tq, tp, -1)),
+        (p * q, _product(tp, tq)),
+        (-p, _combine({}, tp, -1)),
+        (p.scale_by_x(power), shifted),
+        (p + c, _combine(tp, tc, 1)),
+        (c - p, _combine(tc, tp, -1)),
+        (p - c, _combine(tp, tc, -1)),
+        (c * p, _product(tc, tp)),
+        (IntPolynomial.monomial(power, c), _terms([0] * power + [c])),
+    ]
+    for got, terms in expected:
+        assert got.coeffs == _coeffs(terms)
+        assert not got.coeffs or got.coeffs[-1] != 0
+        assert str(got) == _reference_str(got.coeffs)

@@ -151,6 +151,20 @@ def test_capacity_factorize():
     assert sieve.factorize(9973).factors == ((9973, 1),)
 
 
+@pytest.mark.parametrize(
+    "n, factors",
+    [(2**400, ((2, 400),)), (3**400, ((3, 400),)), (2**400 * 3**5, ((2, 400), (3, 5)))],
+    ids=["2**400", "3**400", "2**400*3**5"],
+)
+def test_cold_sieve_factorizes_what_a_warm_one_does(n, factors):
+    # sqrt(n) is past the ceiling, but the small primes divide n out.
+    warm = PrimeSieve()
+    warm.nth_prime(10)
+    cold = PrimeSieve()
+    assert cold.factorize(n).factors == warm.factorize(n).factors == factors
+    assert cold._limit == warm._limit == 10**6
+
+
 def test_concurrent_readers_and_growth():
     sieve = PrimeSieve(initial_bound=10, ceiling=10**6)
     results: dict[int, list[tuple[int, int]]] = {}

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matula.errors import CapacityExceeded, InvalidInput, UnsupportedName
+from matula.errors import (
+    CapacityExceeded,
+    InternalIntegrityError,
+    InvalidInput,
+    UnsupportedName,
+)
+from matula.oracle import analyze, oracle_value
 from matula.poly import ZERO, IntPolynomial
 from matula.primes import PrimeSieve
 from matula.stats import DESCRIPTIONS, OEIS_IDS, STATISTICS, StatName, StatsEngine
+from matula.tree import decode
 
 S = StatName
 
@@ -204,6 +211,72 @@ def test_alpha_defaults(engine):
     )
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", [S.NK, S.MZ1, S.MZ2])
+def test_degree_check_catches_a_wrong_memoized_value(name, warm):
+    engine = StatsEngine()
+    if warm:
+        assert engine.compute(name, 60) != 7
+    engine._memo[name.value, None] = {60: 7}
+    message = rf"^{name.value}\(60\): recursion gave 7, degree multiset gives \d+$"
+    with pytest.raises(InternalIntegrityError, match=message):
+        engine.compute(name, 60)
+    if not warm:  # the engine's plan reads the replaced memo too
+        with pytest.raises(InternalIntegrityError, match=message):
+            engine.multiplicative_stat(name, 60)
+
+
+@pytest.mark.parametrize("n", [5, 6], ids=["prime-rule", "composite-rule"])
+@pytest.mark.parametrize("name", [S.NK, S.MZ1, S.MZ2])
+def test_inexact_division_is_an_integrity_error(name, n):
+    # Omega(3) is 1; at 3 the rules would then divide by 3 where the
+    # value is no multiple of 3, at 5 = p_3 (t = 3) and at 6 = 2 * 3.
+    engine = StatsEngine()
+    engine._memo["OMEGA", None] = {3: 3}
+    message = rf"^{name.value}\({n}\) came out non-integral: \d+/\d+$"
+    with pytest.raises(InternalIntegrityError, match=message):
+        engine.compute(name, n)
+    if n == 6:
+        with pytest.raises(InternalIntegrityError, match=message):
+            engine.composite_value(name, 2, 3)
+
+
+def test_memo_hits_validate_like_cold_calls():
+    cold, warm = StatsEngine(), StatsEngine()
+    warm.fill(S.V, 1, 20)
+    warm.fill(S.R_ALPHA, 1, 20)
+    cases = [
+        (S.V, True, {}, "n must be a positive integer, got True"),
+        (S.V, 0, {}, "n must be a positive integer, got 0"),
+        (S.V, 2.0, {}, "n must be a positive integer, got 2.0"),
+        (S.V, 9, {"alpha": 1}, "V takes no alpha parameter"),
+        (S.R_ALPHA, 9, {"k": 2}, "R_ALPHA takes no k parameter"),
+    ]
+    for name, n, kwargs, message in cases:
+        for engine in (warm, cold):
+            with pytest.raises(InvalidInput) as exc:
+                engine.compute(name, n, **kwargs)
+            assert str(exc.value) == message
+
+    class Int(int):
+        pass
+
+    assert warm.compute(S.V, Int(9)) == cold.compute(S.V, 9) == 5
+    warm.compute(S.NK, 60)
+    assert warm.compute(S.NK, Int(60)) == cold.compute(S.NK, 60)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_integer_alpha_values_are_ints(alpha):
+    engine = StatsEngine()
+    for n in range(1, 120):
+        an = analyze(decode(n))
+        for name in (S.A_ALPHA, S.R_ALPHA):
+            value = engine.compute(name, n, alpha=alpha)
+            assert type(value) is int
+            assert value == oracle_value(an, name, alpha=alpha)
+
+
 @pytest.mark.parametrize("name", [S.A_ALPHA, S.R_ALPHA])
 def test_float_alpha_overflow_is_invalid_input(name):
     engine = StatsEngine()
@@ -242,10 +315,9 @@ def test_docs_tables_are_complete():
 
 
 def test_deep_powers_need_no_call_stack():
-    # 2**2000 is a star with 2000 leaves; its DAG is 2000 nodes deep.
-    sieve = PrimeSieve()
-    sieve.nth_prime(10)
-    engine = StatsEngine(sieve)
+    # 2**2000 is a star with 2000 leaves; its DAG is 2000 nodes deep.  The
+    # sieve is cold: sqrt(2**2000) is past its ceiling.
+    engine = StatsEngine(PrimeSieve())
     n = 2**2000
     assert engine.scalar_stat(S.V, n) == 2001
     assert engine.scalar_stat(S.W, n) == 4000000
