@@ -55,11 +55,11 @@ class Statistic:
     (the degree of the root of m's tree) and "POW" the function
     b -> b**alpha.
     A derived statistic has no recursion: its value is
-    ``derive(value of reads[0] at n, k)``.
-
-    ``kind`` picks the engine method that serves it: "scalar",
-    "multiplicative", "polynomial", "alpha" or "derived".  ``param`` is
-    None, "alpha" or "k", and ``default`` its value when not given.
+    ``derive(value of reads[0] at n, k)``.  A multiplicative statistic
+    (NK, MZ1, MZ2) has a ``degree_power``: at n >= 2 its value is also the
+    product of deg ** degree_power(deg) over the vertices, which the engine
+    checks against DSP.  ``param`` is None, "alpha" or "k", and ``default`` its
+    value when not given.
     """
 
     name: str
@@ -69,11 +69,9 @@ class Statistic:
     reads: tuple = ()
     prime: Callable | None = None
     composite: Callable | None = None
-    kind: str = "scalar"
     param: str | None = None
     default: Any = None
     prime_split: bool = False  # composite rule assumes r is prime
-    integral: bool = False  # rational intermediates; result must be integral
     degree_power: Callable[[int], int] | None = None  # exponent in DSP check
     derive: Callable | None = None
     aliases: tuple[str, ...] = ()
@@ -169,14 +167,14 @@ _RECORDS = (
               {1: 0, 2: 1}, ("NK", "OMEGA"),
               lambda t, NK, w: _exact(NK[t] * (1 + w[t]), w[t]),
               lambda r, s, NK, w: _exact(NK[r] * NK[s] * (w[r] + w[s]), w[r] * w[s]),
-              kind="multiplicative", integral=True, degree_power=lambda d: 1),
+              degree_power=lambda d: 1),
     Statistic("MZ1", "A196065",
               "first multiplicative Zagreb index (product of squared degrees)",
               {1: 0, 2: 1}, ("MZ1", "OMEGA"),
               lambda t, MZ1, w: _exact(MZ1[t] * (1 + w[t]) ** 2, w[t] ** 2),
               lambda r, s, MZ1, w: _exact(
                   MZ1[r] * MZ1[s] * (w[r] + w[s]) ** 2, (w[r] * w[s]) ** 2),
-              kind="multiplicative", integral=True, degree_power=lambda d: 2),
+              degree_power=lambda d: 2),
     Statistic("MZ2", "A196064",
               "second multiplicative Zagreb index (product over edges)",
               {1: 0, 2: 1}, ("MZ2", "OMEGA"),
@@ -184,12 +182,12 @@ _RECORDS = (
               lambda r, s, MZ2, w: _exact(
                   MZ2[r] * MZ2[s] * (w[r] + w[s]) ** (w[r] + w[s]),
                   w[r] ** w[r] * w[s] ** w[s]),
-              kind="multiplicative", integral=True, degree_power=lambda d: d),
+              degree_power=lambda d: d),
     Statistic("A_ALPHA", "A196052", "sum of degree^alpha over level-1 vertices",
               {1: 0}, ("A_ALPHA", "OMEGA", "POW"),
               lambda t, A, w, p: p(1 + w[t]),
               lambda r, s, A, w, p: A[r] + A[s],
-              kind="alpha", param="alpha", default=1, aliases=("A",)),
+              param="alpha", default=1, aliases=("A",)),
     # A(t) = 0 only at t = 1, where w[t] = 0 and 0**alpha is undefined for
     # negative alpha; the guard skips that term, which is 0 anyway.
     Statistic("R_ALPHA", None,
@@ -202,63 +200,60 @@ _RECORDS = (
                   R[r] + R[s]
                   + A[r] * (p(w[r] + w[s]) - p(w[r]))
                   + A[s] * (p(w[r] + w[s]) - p(w[s]))),
-              kind="alpha", param="alpha", default=Fraction(-1, 2),
+              param="alpha", default=Fraction(-1, 2),
               aliases=("R", "RANDIC")),
     Statistic("PWP", "A196056", "partial Wiener polynomial with respect to the root",
               {1: ZERO}, ("PWP",),
               lambda t, PWP: X + PWP[t].scale_by_x(),
-              lambda r, s, PWP: PWP[r] + PWP[s],
-              kind="polynomial"),
+              lambda r, s, PWP: PWP[r] + PWP[s]),
     Statistic("WP", "A196059", "Wiener polynomial (vertex pairs by distance)",
               {1: ZERO}, ("WP", "PWP"),
               lambda t, WP, PWP: WP[t] + PWP[t].scale_by_x() + X,
-              lambda r, s, WP, PWP: WP[r] + WP[s] + PWP[r] * PWP[s],
-              kind="polynomial"),
+              lambda r, s, WP, PWP: WP[r] + WP[s] + PWP[r] * PWP[s]),
     Statistic("DSP", "A182907", "degree sequence polynomial (vertices by degree)",
               {1: ONE}, ("DSP", "OMEGA"),
               lambda t, DSP, w: DSP[t] + _monomial(w[t]) * (X - 1) + X,
               lambda r, s, DSP, w: (
                   DSP[r] + DSP[s] - _monomial(w[r]) - _monomial(w[s])
-                  + _monomial(w[r] + w[s])),
-              kind="polynomial"),
+                  + _monomial(w[r] + w[s]))),
     Statistic("EDP", "A184167", "exit-distance polynomial (vertices by exit distance)",
               {1: ONE}, ("EDP", "LLL"),
               lambda t, EDP, LLL: EDP[t] + _monomial(1 + LLL[t]),
               lambda r, s, EDP, LLL: (
-                  EDP[r] + EDP[s] - _monomial(max(LLL[r], LLL[s]))),
-              kind="polynomial"),
+                  EDP[r] + EDP[s] - _monomial(max(LLL[r], LLL[s])))),
+    # The hyper-Wiener index sums (d + d^2) / 2 over the pairs at distance d;
+    # d * (d + 1) is even, so each term is an exact int.
     Statistic("HYPER_W", "A196060", "hyper-Wiener index",
-              reads=("WP",), kind="derived", integral=True,
-              derive=lambda g, k: (
-                  g.derivative().eval_at_one()
-                  + Fraction(g.derivative().derivative().eval_at_one(), 2))),
+              reads=("WP",),
+              derive=lambda g, k: sum(
+                  c * d * (d + 1) // 2 for d, c in enumerate(g.coeffs))),
     Statistic("MULT_W", "A196061",
               "multiplicative Wiener index (product of pairwise distances)",
-              reads=("WP",), kind="derived",
+              reads=("WP",),
               derive=lambda g, k: math.prod(
                   d**c for d, c in enumerate(g.coeffs) if d > 1)),
     Statistic("POLARITY", "A184156",
               "Wiener polarity index (pairs at distance k, default 3)",
-              reads=("WP",), kind="derived", param="k", default=3,
+              reads=("WP",), param="k", default=3,
               derive=lambda g, k: g.coefficient(k)),
     Statistic("SUM_EVEN", "A184157", "sum of even pairwise distances",
-              reads=("WP",), kind="derived",
+              reads=("WP",),
               derive=lambda g, k: g.even_part().derivative().eval_at_one()),
     Statistic("SUM_ODD", "A184158", "sum of odd pairwise distances",
-              reads=("WP",), kind="derived",
+              reads=("WP",),
               derive=lambda g, k: g.odd_part().derivative().eval_at_one()),
     Statistic("EXIT_SUM", "A184168", "sum of exit distances over all vertices",
-              reads=("EDP",), kind="derived",
+              reads=("EDP",),
               derive=lambda g, k: g.derivative().eval_at_one()),
     Statistic("EXIT_MAX", "A184169", "maximum exit distance",
-              reads=("EDP",), kind="derived",
+              reads=("EDP",),
               derive=lambda g, k: g.degree()),
     Statistic("EXIT_MAX_COUNT", "A184170",
               "number of vertices attaining the maximum exit distance",
-              reads=("EDP",), kind="derived",
+              reads=("EDP",),
               derive=lambda g, k: g.leading_coefficient()),
     Statistic("LEVEL_COUNT", None, "number of non-root vertices at level k",
-              reads=("PWP",), kind="derived", param="k",
+              reads=("PWP",), param="k",
               derive=lambda g, k: g.coefficient(k)),
 )
 # fmt: on
@@ -304,14 +299,9 @@ def _simplify(v):
     return v
 
 
-def _finish(stat: Statistic, n: int, v, alpha):
-    """Give a computed value its canonical type: float at a non-integer alpha."""
-    if isinstance(alpha, float):
-        return float(v)
-    v = _simplify(v)
-    if stat.integral and isinstance(v, Fraction):
-        raise InternalIntegrityError(f"{stat.name}({n}) came out non-integral: {v}")
-    return v
+def _finish(v, alpha):
+    """Give a value at alpha its canonical type: float at a non-integer alpha."""
+    return float(v) if isinstance(alpha, float) else _simplify(v)
 
 
 class _NotIntegral(InternalIntegrityError):
@@ -348,8 +338,8 @@ def _step(plan: list, m: int, kids: tuple[int, ...]) -> None:
                     v = rule(*kids, *tables)
                 except _NotIntegral as exc:
                     raise _not_integral(dep, m, exc) from None
-            if dep.integral or a is not None:  # else never a Fraction
-                v = _finish(dep, m, v, a)
+            if a is not None:  # else never a Fraction
+                v = _finish(v, a)
             memo[m] = v
 
 
@@ -441,26 +431,6 @@ class StatsEngine:
             _step(plan, m, children[m])
         return memos[0][n]
 
-    def _record(self, name: StatName, n: int, kind: str) -> Statistic:
-        self._check_n(n)
-        stat = STATISTICS[name]
-        if stat.kind != kind:
-            raise InvalidInput(f"{name.value} is not a {kind} statistic")
-        return stat
-
-    def _alpha_stat(self, name: StatName, n: int, alpha) -> StatValue:
-        self._check_n(n)
-        return self._eval(STATISTICS[name], n, _alpha_mode(alpha)[1])
-
-    # -- public operations ---------------------------------------------
-
-    def scalar_stat(self, name: StatName, n: int) -> int:
-        return self._eval(self._record(name, n, "scalar"), n)
-
-    def multiplicative_stat(self, name: StatName, n: int) -> int:
-        stat = self._record(name, n, "multiplicative")
-        return self._check_degrees(stat, n, self._eval(stat, n))
-
     def _check_degrees(self, stat: Statistic, n: int, v: int) -> int:
         """Return v after recomputing it from the degree multiset read off DSP.
 
@@ -481,55 +451,53 @@ class StatsEngine:
             )
         return v
 
-    def a_alpha(self, n: int, alpha) -> StatValue:
-        return self._alpha_stat(StatName.A_ALPHA, n, alpha)
+    def _resolve(self, name: StatName, n: int, alpha, k) -> tuple[Statistic, Any]:
+        """Return name's record and alpha, normalized and defaulted, for a call at n.
 
-    def randic(self, n: int, alpha) -> StatValue:
-        return self._alpha_stat(StatName.R_ALPHA, n, alpha)
-
-    def poly_stat(self, name: StatName, n: int) -> IntPolynomial:
-        return self._eval(self._record(name, n, "polynomial"), n)
-
-    def derived_stat(self, name: StatName, n: int, k: int | None = None) -> int:
-        stat = self._record(name, n, "derived")
-        if stat.param is None and k is not None:
+        Rejects an alpha or a k that the statistic does not take and an n
+        that is not a positive integer; a derived statistic has n checked
+        before k.
+        """
+        stat = STATISTICS[name]
+        if alpha is not None and stat.param != "alpha":
+            raise InvalidInput(f"{name.value} takes no alpha parameter")
+        if k is not None and stat.derive is None:
             raise InvalidInput(f"{name.value} takes no k parameter")
-        k = stat.default if k is None else k
-        if stat.param == "k" and k is None:
-            raise InvalidInput(f"{name.value} requires k")
-        if k is not None and k < 0:
-            raise InvalidInput(f"k must be >= 0, got {k}")
-        g = self._eval(_BY_NAME[stat.reads[0]], n)
-        return _finish(stat, n, stat.derive(g, k), None)
+        self._check_n(n)
+        if k is not None and stat.param != "k":
+            raise InvalidInput(f"{name.value} takes no k parameter")
+        if stat.param == "alpha":
+            alpha = _alpha_mode(stat.default if alpha is None else alpha)[1]
+        return stat, alpha
+
+    # -- public operations ---------------------------------------------
 
     def compute(
         self, name: StatName, n: int, alpha=None, k: int | None = None
     ) -> StatValue:
-        """Dispatch to the right operation for any statistic name."""
+        """The value of any statistic at n, at the alpha or k it takes."""
         try:
             stat = _BY_NAME[name._value_]  # a str key: no Enum.__hash__ call
         except AttributeError:
             stat = STATISTICS[name]
+        v = None
         if stat.param is None and alpha is None and k is None and type(n) is int and n > 0:
-            # No check below can fail here, so a memoized value costs one
-            # lookup in the live memo.  Derived statistics have no memo.
+            # No check in _resolve can fail here, so a memoized value costs
+            # one lookup in the live memo.  Derived statistics have no memo.
             v = self._memo.get((stat.name, None), _NO_MEMO).get(n)
-            if v is not None:
-                if stat.kind == "multiplicative":
-                    return self._check_degrees(stat, n, v)
-                return v
-        if alpha is not None and stat.param != "alpha":
-            raise InvalidInput(f"{name.value} takes no alpha parameter")
-        if k is not None and stat.kind != "derived":
-            raise InvalidInput(f"{name.value} takes no k parameter")
-        if stat.param == "alpha":
-            return self._alpha_stat(name, n, stat.default if alpha is None else alpha)
-        if stat.kind == "derived":
-            return self.derived_stat(name, n, k)
-        if stat.kind == "multiplicative":
-            return self.multiplicative_stat(name, n)
-        self._check_n(n)
-        return self._eval(stat, n)
+        if v is None:
+            stat, alpha = self._resolve(name, n, alpha, k)
+            if stat.derive is not None:
+                k = stat.default if k is None else k
+                if stat.param == "k" and k is None:
+                    raise InvalidInput(f"{name.value} requires k")
+                if k is not None and k < 0:
+                    raise InvalidInput(f"k must be >= 0, got {k}")
+                return stat.derive(self._eval(_BY_NAME[stat.reads[0]], n), k)
+            v = self._eval(stat, n, alpha)
+        if stat.degree_power is not None:
+            return self._check_degrees(stat, n, v)
+        return v
 
     def fill(self, name: StatName, lo: int, hi: int, alpha=None) -> None:
         """Memoize what ``compute(name, n, alpha=alpha)`` reads, for lo <= n <= hi.
@@ -543,17 +511,13 @@ class StatsEngine:
         """
         self._check_n(lo)
         self._check_n(hi)
-        stat = STATISTICS[name]
-        if alpha is not None and stat.param != "alpha":
-            raise InvalidInput(f"{name.value} takes no alpha parameter")
-        if stat.param == "alpha":
-            targets = [(stat, _alpha_mode(stat.default if alpha is None else alpha)[1])]
-        elif stat.kind == "derived":
+        stat, alpha = self._resolve(name, lo, alpha, None)
+        if stat.derive is not None:
             targets = [(_BY_NAME[stat.reads[0]], None)]
-        elif stat.kind == "multiplicative":  # compute also reads DSP
+        elif stat.degree_power is not None:  # compute also reads DSP
             targets = [(stat, None), (_BY_NAME["DSP"], None)]
         else:
-            targets = [(stat, None)]
+            targets = [(stat, alpha)]
         plans = [self._plan(dep, a)[0] for dep, a in targets]
         index = 0 if lo <= 2 else None  # pi(n) at the last prime n passed
         spf = primes.smallest_prime_factors(lo, min(hi, self._sieve.ceiling))
@@ -580,10 +544,9 @@ class StatsEngine:
         """
         if r < 2 or s < 2:
             raise InvalidInput("both parts of a split must be >= 2")
-        stat = STATISTICS[name]
-        if stat.param == "alpha" and alpha is None:
+        if alpha is None and STATISTICS[name].param == "alpha":
             raise InvalidInput(f"{name.value} requires alpha")
-        a = _alpha_mode(alpha)[1] if stat.param == "alpha" else None
+        stat, a = self._resolve(name, r * s, alpha, None)
         if stat.composite is None:
             raise InvalidInput(f"{name.value} has no composite-case rule")
         if stat.prime_split and self._sieve.factorize(r).omega != 1:
@@ -595,7 +558,7 @@ class StatsEngine:
             value = stat.composite(r, s, *entries[0][3])
         except _NotIntegral as exc:
             raise _not_integral(stat, r * s, exc) from None
-        return _finish(stat, r * s, value, a)
+        return _finish(value, a)
 
 
 def _alpha_mode(alpha) -> tuple[bool, Any]:

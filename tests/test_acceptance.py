@@ -53,7 +53,7 @@ def test_criterion_2_factorization_and_prime_index():
 
 
 def test_criterion_3_degree_sequence_polynomial_of_nine():
-    got = StatsEngine().poly_stat(S.DSP, 9)
+    got = StatsEngine().compute(S.DSP, 9)
     ok = got == IntPolynomial((0, 2, 3))
     _report(3, ok, f"DSP(9) = {got}")
 
@@ -90,50 +90,53 @@ def test_criterion_6_identity_suite_to_5000():
     engine = StatsEngine()
     bad: list[str] = []
     for n in range(1, 5001):
-        v = engine.scalar_stat(S.V, n)
-        e = engine.scalar_stat(S.E, n)
-        w = engine.scalar_stat(S.W, n)
+        v = engine.compute(S.V, n)
+        e = engine.compute(S.E, n)
+        w = engine.compute(S.W, n)
         if e != v - 1:
             bad.append(f"E({n}) != V-1")
-        nk = engine.multiplicative_stat(S.NK, n)
-        if engine.multiplicative_stat(S.MZ1, n) != nk * nk:
+        nk = engine.compute(S.NK, n)
+        if engine.compute(S.MZ1, n) != nk * nk:
             bad.append(f"MZ1({n}) != NK^2")
-        if engine.randic(n, 1) != engine.scalar_stat(S.Z2, n):
+        if engine.compute(S.R_ALPHA, n, alpha=1) != engine.compute(S.Z2, n):
             bad.append(f"R_1({n}) != Z2")
-        f = engine.poly_stat(S.PWP, n)
-        if (f.degree() or 0) != engine.scalar_stat(S.H, n):
+        f = engine.compute(S.PWP, n)
+        if (f.degree() or 0) != engine.compute(S.H, n):
             bad.append(f"H({n}) != deg PWP")
         if f.eval_at_one() != e:
             bad.append(f"E({n}) != PWP(1)")
-        if f.derivative().eval_at_one() != engine.scalar_stat(S.PL, n):
+        if f.derivative().eval_at_one() != engine.compute(S.PL, n):
             bad.append(f"PL({n}) != PWP'(1)")
-        g = engine.poly_stat(S.WP, n)
-        if (g.degree() or 0) != engine.scalar_stat(S.DM, n):
+        g = engine.compute(S.WP, n)
+        if (g.degree() or 0) != engine.compute(S.DM, n):
             bad.append(f"DM({n}) != deg WP")
         if g.derivative().eval_at_one() != w:
             bad.append(f"W({n}) != WP'(1)")
-        h = engine.poly_stat(S.DSP, n)
+        h = engine.compute(S.DSP, n)
         if h.eval_at_one() != v:
             bad.append(f"V({n}) != DSP(1)")
-        if (h.degree() or 0) != engine.scalar_stat(S.MD, n):
+        if (h.degree() or 0) != engine.compute(S.MD, n):
             bad.append(f"MD({n}) != deg DSP")
-        if h.coefficient(1) != engine.scalar_stat(S.PV, n):
+        if h.coefficient(1) != engine.compute(S.PV, n):
             bad.append(f"PV({n}) != [x]DSP")
-        bv = engine.scalar_stat(S.BV, n)
+        bv = engine.compute(S.BV, n)
         if sum(h.coefficient(d) for d in range(3, len(h.coeffs))) != bv:
             bad.append(f"BV({n}) != DSP degree>=3 count")
         # the three-term form assumes no degree-0 vertex, i.e. n >= 2
         if n >= 2 and v - h.coefficient(1) - h.coefficient(2) != bv:
             bad.append(f"BV({n}) != DSP identity")
         if (
-            engine.derived_stat(S.SUM_EVEN, n) + engine.derived_stat(S.SUM_ODD, n)
+            engine.compute(S.SUM_EVEN, n) + engine.compute(S.SUM_ODD, n)
             != w
         ):
             bad.append(f"SUM_EVEN+SUM_ODD != W at {n}")
-        coeffs = engine.poly_stat(S.EDP, n).coeffs
+        coeffs = engine.compute(S.EDP, n).coeffs
         if any(a < b for a, b in zip(coeffs, coeffs[1:])):
             bad.append(f"EDP({n}) coefficients not nonincreasing")
-        engine.derived_stat(S.HYPER_W, n)  # raises if the halving is non-integral
+        # sum of (d + d^2) / 2 over pairs at distance d, from WP's derivatives
+        hyper = engine.compute(S.HYPER_W, n)
+        if 2 * hyper != g.derivative().derivative().eval_at_one() + 2 * w:
+            bad.append(f"2*HYPER_W({n}) != WP''(1) + 2*W")
     _report(6, not bad, f"identity suite for n in 1..5000: {len(bad)} failures"
             + (f"; first: {bad[0]}" if bad else ""))
 
@@ -164,7 +167,7 @@ def test_criterion_8_subtree_counts_brute_force():
             continue
         checked += 1
         st, rst = subtree_counts(an, "enumerate")
-        if engine.scalar_stat(S.ST, n) != st or engine.scalar_stat(S.RST, n) != rst:
+        if engine.compute(S.ST, n) != st or engine.compute(S.RST, n) != rst:
             bad += 1
     _report(8, bad == 0 and checked > 0,
             f"ST/RST vs subset enumeration on {checked} trees (n <= 2000, V <= 14): "

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matula import oracle
 from matula.errors import BudgetExceeded, InvalidInput
@@ -15,7 +17,7 @@ from matula.oracle import (
 )
 from matula.poly import IntPolynomial
 from matula.stats import STATISTICS, StatName, StatsEngine
-from matula.tree import decode
+from matula.tree import decode, encode, parse_canonical_string, to_canonical_string
 
 S = StatName
 
@@ -231,3 +233,40 @@ def test_random_split_sampling_is_seeded():
         n = rng.randrange(4, 20000)
         if len(decode(n).children) >= 2:
             assert random_split_check(n, rng.randrange(2**31), engine)
+
+
+@st.composite
+def _trees(draw):
+    """A parenthesized tree, children in drawn order, and its vertex count.
+
+    At most 16 vertices and height 4 keep the Matula number at or below
+    8563829 and the tree within reach of subset enumeration.
+    """
+    size = draw(st.integers(1, 16))
+    depth, children = [0], [[]]
+    for v in range(1, size):
+        parent = draw(st.sampled_from([u for u in range(v) if depth[u] < 4]))
+        depth.append(depth[parent] + 1)
+        children.append([])
+        children[parent].append(v)
+
+    def paren(u):
+        return "(" + "".join(paren(c) for c in children[u]) + ")"
+
+    return paren(0), size
+
+
+@settings(max_examples=40, deadline=None)
+@given(_trees())
+def test_random_trees_round_trip_and_match_the_oracle(drawn):
+    text, size = drawn
+    t = parse_canonical_string(text)
+    n = encode(t)
+    assert 1 <= n <= 8563829
+    canonical = to_canonical_string(t)
+    assert len(canonical) == len(text) == 2 * size
+    assert to_canonical_string(decode(n)) == canonical
+    assert encode(parse_canonical_string(canonical)) == n
+    an = analyze(t)
+    assert an.vertex_count == size
+    assert compare_all(n, StatsEngine(), an) == []

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,99 +29,101 @@ def engine():
 
 
 def test_base_values(engine):
-    assert engine.scalar_stat(S.V, 1) == 1
-    assert engine.scalar_stat(S.E, 1) == 0
-    assert engine.scalar_stat(S.TW, 2) == 1
-    assert engine.scalar_stat(S.PV, 2) == 2
-    assert engine.scalar_stat(S.VL, 1) == 1
-    assert engine.scalar_stat(S.RST, 1) == 1
-    assert engine.scalar_stat(S.ST, 1) == 1
-    assert engine.multiplicative_stat(S.NK, 1) == 0
-    assert engine.multiplicative_stat(S.NK, 2) == 1
-    assert engine.multiplicative_stat(S.MZ1, 1) == 0
-    assert engine.multiplicative_stat(S.MZ2, 1) == 0
-    assert engine.poly_stat(S.PWP, 1) == ZERO
-    assert engine.poly_stat(S.WP, 1) == ZERO
-    assert engine.poly_stat(S.DSP, 1) == IntPolynomial((1,))
-    assert engine.poly_stat(S.EDP, 1) == IntPolynomial((1,))
+    assert engine.compute(S.V, 1) == 1
+    assert engine.compute(S.E, 1) == 0
+    assert engine.compute(S.TW, 2) == 1
+    assert engine.compute(S.PV, 2) == 2
+    assert engine.compute(S.VL, 1) == 1
+    assert engine.compute(S.RST, 1) == 1
+    assert engine.compute(S.ST, 1) == 1
+    assert engine.compute(S.NK, 1) == 0
+    assert engine.compute(S.NK, 2) == 1
+    assert engine.compute(S.MZ1, 1) == 0
+    assert engine.compute(S.MZ2, 1) == 0
+    assert engine.compute(S.PWP, 1) == ZERO
+    assert engine.compute(S.WP, 1) == ZERO
+    assert engine.compute(S.DSP, 1) == IntPolynomial((1,))
+    assert engine.compute(S.EDP, 1) == IntPolynomial((1,))
 
 
 def test_lowest_leaf_level_convention(engine):
     # single vertex has no leaf; 0 keeps the 2-vertex tree at level 1
-    assert engine.scalar_stat(S.LLL, 1) == 0
-    assert engine.scalar_stat(S.LLL, 2) == 1
-    assert engine.scalar_stat(S.LLL, 4) == 1
+    assert engine.compute(S.LLL, 1) == 0
+    assert engine.compute(S.LLL, 2) == 1
+    assert engine.compute(S.LLL, 4) == 1
 
 
 def test_worked_example_values(engine):
-    assert engine.poly_stat(S.EDP, 987654321) == IntPolynomial((15, 9, 5))
-    assert engine.scalar_stat(S.V, 987654321) == 29
-    assert engine.derived_stat(S.EXIT_MAX, 987654321) == 2
-    assert engine.derived_stat(S.EXIT_MAX_COUNT, 987654321) == 5
+    assert engine.compute(S.EDP, 987654321) == IntPolynomial((15, 9, 5))
+    assert engine.compute(S.V, 987654321) == 29
+    assert engine.compute(S.EXIT_MAX, 987654321) == 2
+    assert engine.compute(S.EXIT_MAX_COUNT, 987654321) == 5
 
 
 def test_five_vertex_path_values(engine):
     # decode(9) is the path on 5 vertices; values confirmed by the oracle
-    assert engine.poly_stat(S.DSP, 9) == IntPolynomial((0, 2, 3))
-    assert engine.scalar_stat(S.W, 9) == 20
-    assert engine.multiplicative_stat(S.NK, 9) == 8
-    assert engine.multiplicative_stat(S.MZ1, 9) == 64
-    assert engine.derived_stat(S.POLARITY, 9, k=3) == 2
-    assert engine.derived_stat(S.HYPER_W, 9) == 35
+    assert engine.compute(S.DSP, 9) == IntPolynomial((0, 2, 3))
+    assert engine.compute(S.W, 9) == 20
+    assert engine.compute(S.NK, 9) == 8
+    assert engine.compute(S.MZ1, 9) == 64
+    assert engine.compute(S.POLARITY, 9, k=3) == 2
+    assert engine.compute(S.HYPER_W, 9) == 35
 
 
 def test_wiener_polynomial_of_three_vertex_star(engine):
-    assert engine.poly_stat(S.WP, 4) == IntPolynomial((0, 2, 1))
+    assert engine.compute(S.WP, 4) == IntPolynomial((0, 2, 1))
 
 
-def test_a_alpha(engine):
-    assert engine.a_alpha(1, 1) == 0
-    assert engine.a_alpha(4, 1) == 2
-    assert engine.a_alpha(2, 3) == 1
+def test_a_alpha_values(engine):
+    assert engine.compute(S.A_ALPHA, 1, alpha=1) == 0
+    assert engine.compute(S.A_ALPHA, 4, alpha=1) == 2
+    assert engine.compute(S.A_ALPHA, 2, alpha=3) == 1
     # exact negative exponent stays rational
-    assert engine.a_alpha(9, -1) == Fraction(1, 2) + Fraction(1, 2)
-    assert isinstance(engine.a_alpha(4, -0.5), float)
+    assert engine.compute(S.A_ALPHA, 9, alpha=-1) == Fraction(1, 2) + Fraction(1, 2)
+    assert isinstance(engine.compute(S.A_ALPHA, 4, alpha=-0.5), float)
 
 
-def test_randic(engine):
-    assert engine.randic(2, -0.5) == pytest.approx(1.0, abs=1e-12)
+def test_randic_values(engine):
+    assert engine.compute(S.R_ALPHA, 2, alpha=-0.5) == pytest.approx(1.0, abs=1e-12)
     # path on 5 vertices: 2 edges of (1*2), 2 edges of (2*2)
-    assert engine.randic(9, -0.5) == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
-    assert engine.randic(9, -1) == Fraction(3, 2)
+    assert engine.compute(S.R_ALPHA, 9, alpha=-0.5) == pytest.approx(
+        1.0 + math.sqrt(2.0), rel=1e-12
+    )
+    assert engine.compute(S.R_ALPHA, 9, alpha=-1) == Fraction(3, 2)
     for n in range(1, 300):
-        assert engine.randic(n, 1) == engine.scalar_stat(S.Z2, n)
+        assert engine.compute(S.R_ALPHA, n, alpha=1) == engine.compute(S.Z2, n)
 
 
 def test_multiplicative_square_identity(engine):
     for n in range(1, 400):
-        assert engine.multiplicative_stat(S.MZ1, n) == engine.multiplicative_stat(S.NK, n) ** 2
+        assert engine.compute(S.MZ1, n) == engine.compute(S.NK, n) ** 2
 
 
 def test_partial_wiener_polynomial_encodes_levels(engine):
     for n in range(1, 400):
-        f = engine.poly_stat(S.PWP, n)
-        h = engine.scalar_stat(S.H, n)
+        f = engine.compute(S.PWP, n)
+        h = engine.compute(S.H, n)
         assert (f.degree() or 0) == h
-        assert f.eval_at_one() == engine.scalar_stat(S.E, n)
-        assert f.derivative().eval_at_one() == engine.scalar_stat(S.PL, n)
+        assert f.eval_at_one() == engine.compute(S.E, n)
+        assert f.derivative().eval_at_one() == engine.compute(S.PL, n)
         for k in range(0, h + 2):
-            assert engine.derived_stat(S.LEVEL_COUNT, n, k=k) == f.coefficient(k)
+            assert engine.compute(S.LEVEL_COUNT, n, k=k) == f.coefficient(k)
 
 
 def test_wiener_polynomial_encodes_distances(engine):
     for n in range(1, 400):
-        g = engine.poly_stat(S.WP, n)
-        assert (g.degree() or 0) == engine.scalar_stat(S.DM, n)
-        assert g.derivative().eval_at_one() == engine.scalar_stat(S.W, n)
+        g = engine.compute(S.WP, n)
+        assert (g.degree() or 0) == engine.compute(S.DM, n)
+        assert g.derivative().eval_at_one() == engine.compute(S.W, n)
 
 
 def test_degree_sequence_polynomial_identities(engine):
     for n in range(1, 400):
-        h = engine.poly_stat(S.DSP, n)
-        assert h.eval_at_one() == engine.scalar_stat(S.V, n)
-        assert (h.degree() or 0) == engine.scalar_stat(S.MD, n)
-        assert h.coefficient(1) == engine.scalar_stat(S.PV, n)
-        bv = engine.scalar_stat(S.BV, n)
+        h = engine.compute(S.DSP, n)
+        assert h.eval_at_one() == engine.compute(S.V, n)
+        assert (h.degree() or 0) == engine.compute(S.MD, n)
+        assert h.coefficient(1) == engine.compute(S.PV, n)
+        bv = engine.compute(S.BV, n)
         assert sum(h.coefficient(d) for d in range(3, len(h.coeffs))) == bv
         if n >= 2:  # the subtraction form miscounts the degree-0 root of n=1
             assert h.eval_at_one() - h.coefficient(1) - h.coefficient(2) == bv
@@ -129,30 +132,30 @@ def test_degree_sequence_polynomial_identities(engine):
 def test_even_and_odd_distance_sums(engine):
     for n in range(1, 400):
         assert (
-            engine.derived_stat(S.SUM_EVEN, n) + engine.derived_stat(S.SUM_ODD, n)
-            == engine.scalar_stat(S.W, n)
+            engine.compute(S.SUM_EVEN, n) + engine.compute(S.SUM_ODD, n)
+            == engine.compute(S.W, n)
         )
 
 
 def test_exit_distance_coefficients_nonincreasing(engine):
     for n in range(1, 400):
-        coeffs = engine.poly_stat(S.EDP, n).coeffs
+        coeffs = engine.compute(S.EDP, n).coeffs
         assert all(a >= b for a, b in zip(coeffs, coeffs[1:]))
 
 
 def test_exit_scalars_follow_polynomial(engine):
     for n in (1, 2, 9, 12, 360, 987654321):
-        m = engine.poly_stat(S.EDP, n)
-        assert engine.derived_stat(S.EXIT_SUM, n) == m.derivative().eval_at_one()
-        assert engine.derived_stat(S.EXIT_MAX, n) == m.degree()
-        assert engine.derived_stat(S.EXIT_MAX_COUNT, n) == m.leading_coefficient()
+        m = engine.compute(S.EDP, n)
+        assert engine.compute(S.EXIT_SUM, n) == m.derivative().eval_at_one()
+        assert engine.compute(S.EXIT_MAX, n) == m.degree()
+        assert engine.compute(S.EXIT_MAX_COUNT, n) == m.leading_coefficient()
 
 
 def test_multiplicative_wiener(engine):
-    assert engine.derived_stat(S.MULT_W, 1) == 1
-    assert engine.derived_stat(S.MULT_W, 2) == 1
+    assert engine.compute(S.MULT_W, 1) == 1
+    assert engine.compute(S.MULT_W, 2) == 1
     # path on 5 vertices: distances 1,1,1,1,2,2,2,3,3,4
-    assert engine.derived_stat(S.MULT_W, 9) == 2**3 * 3**2 * 4
+    assert engine.compute(S.MULT_W, 9) == 2**3 * 3**2 * 4
 
 
 def test_memoized_and_cold_agree(engine):
@@ -164,28 +167,24 @@ def test_memoized_and_cold_agree(engine):
 
 
 def test_repeated_calls_hit_the_memo(engine):
-    first = engine.scalar_stat(S.W, 987654321)
-    assert engine.scalar_stat(S.W, 987654321) == first
+    first = engine.compute(S.W, 987654321)
+    assert engine.compute(S.W, 987654321) == first
 
 
 def test_level_count_requires_k(engine):
     with pytest.raises(InvalidInput):
-        engine.derived_stat(S.LEVEL_COUNT, 12)
-    assert engine.derived_stat(S.LEVEL_COUNT, 12, k=1) == 3
+        engine.compute(S.LEVEL_COUNT, 12)
+    assert engine.compute(S.LEVEL_COUNT, 12, k=1) == 3
 
 
 def test_polarity_defaults_to_three(engine):
-    assert engine.derived_stat(S.POLARITY, 60) == engine.derived_stat(S.POLARITY, 60, k=3)
+    assert engine.compute(S.POLARITY, 60) == engine.compute(S.POLARITY, 60, k=3)
     assert engine.compute(S.POLARITY, 9) == 2
 
 
 def test_parameter_validation(engine):
     with pytest.raises(InvalidInput):
-        engine.scalar_stat(S.WP, 9)  # not scalar
-    with pytest.raises(InvalidInput):
-        engine.poly_stat(S.V, 9)  # not polynomial
-    with pytest.raises(InvalidInput):
-        engine.derived_stat(S.HYPER_W, 9, k=2)  # takes no k
+        engine.compute(S.HYPER_W, 9, k=2)  # takes no k
     with pytest.raises(InvalidInput):
         engine.compute(S.V, 9, alpha=1)  # takes no alpha
     with pytest.raises(InvalidInput):
@@ -204,11 +203,10 @@ def test_compute_dispatch_covers_every_name(engine):
 
 
 def test_alpha_defaults(engine):
-    assert engine.compute(S.A_ALPHA, 12) == engine.a_alpha(12, 1)
-    assert engine.compute(S.R_ALPHA, 12) == pytest.approx(engine.randic(12, -0.5))
-    assert engine.compute(S.R_ALPHA, 12, alpha=Fraction(-1, 2)) == pytest.approx(
-        engine.randic(12, -0.5)
-    )
+    assert engine.compute(S.A_ALPHA, 12) == engine.compute(S.A_ALPHA, 12, alpha=1)
+    randic = engine.compute(S.R_ALPHA, 12, alpha=-0.5)
+    assert engine.compute(S.R_ALPHA, 12) == pytest.approx(randic)
+    assert engine.compute(S.R_ALPHA, 12, alpha=Fraction(-1, 2)) == pytest.approx(randic)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -221,9 +219,6 @@ def test_degree_check_catches_a_wrong_memoized_value(name, warm):
     message = rf"^{name.value}\(60\): recursion gave 7, degree multiset gives \d+$"
     with pytest.raises(InternalIntegrityError, match=message):
         engine.compute(name, 60)
-    if not warm:  # the engine's plan reads the replaced memo too
-        with pytest.raises(InternalIntegrityError, match=message):
-            engine.multiplicative_stat(name, 60)
 
 
 @pytest.mark.parametrize("n", [5, 6], ids=["prime-rule", "composite-rule"])
@@ -292,9 +287,19 @@ def test_composite_value_split_guard(engine):
     # BV and TW composite rules assume a prime first part
     with pytest.raises(InvalidInput):
         engine.composite_value(S.BV, 4, 3)
-    assert engine.composite_value(S.BV, 3, 4) == engine.scalar_stat(S.BV, 12)
+    assert engine.composite_value(S.BV, 3, 4) == engine.compute(S.BV, 12)
     with pytest.raises(InvalidInput):
         engine.composite_value(S.V, 1, 12)
+
+
+def test_composite_value_rejects_what_compute_rejects(engine):
+    with pytest.raises(InvalidInput, match="^V takes no alpha parameter$"):
+        engine.composite_value(S.V, 2, 3, alpha=2)
+    with pytest.raises(InvalidInput, match="^A_ALPHA requires alpha$"):
+        engine.composite_value(S.A_ALPHA, 2, 3)
+    assert engine.composite_value(S.A_ALPHA, 2, 3, alpha=2) == engine.compute(
+        S.A_ALPHA, 6, alpha=2
+    )
 
 
 def test_name_parsing():
@@ -319,11 +324,11 @@ def test_deep_powers_need_no_call_stack():
     # sieve is cold: sqrt(2**2000) is past its ceiling.
     engine = StatsEngine(PrimeSieve())
     n = 2**2000
-    assert engine.scalar_stat(S.V, n) == 2001
-    assert engine.scalar_stat(S.W, n) == 4000000
-    assert str(engine.poly_stat(S.WP, n)) == "2000*x + 1999000*x^2"
-    assert engine.multiplicative_stat(S.NK, n) == 2000
-    assert engine.randic(n, -1) == 1
+    assert engine.compute(S.V, n) == 2001
+    assert engine.compute(S.W, n) == 4000000
+    assert str(engine.compute(S.WP, n)) == "2000*x + 1999000*x^2"
+    assert engine.compute(S.NK, n) == 2000
+    assert engine.compute(S.R_ALPHA, n, alpha=-1) == 1
 
 
 def _fill_cases():
@@ -456,3 +461,26 @@ def test_readme_table_matches_the_registry():
         name, _, oeis = (cell.strip() for cell in row.strip("|").split("|"))
         table.append((name, None if oeis == "—" else oeis.split()[0]))
     assert table == [(s.name, s.oeis) for s in STATISTICS.values()]
+
+
+def test_readme_library_example_runs():
+    """Each expression line of the README's Library block gives its comment's value.
+
+    The comment must start with the value's repr (then, optionally, a
+    comma and a note), so the example cannot drift from the API.
+    """
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expression = compile(code, "README.md", "eval")
+        except SyntaxError:  # a statement: an import or an assignment
+            exec(code, namespace)
+            continue
+        value = repr(eval(expression, namespace))
+        assert re.fullmatch(re.escape(value) + r"(,.*)?", comment.strip()), line
+        checked += 1
+    assert checked >= 5
