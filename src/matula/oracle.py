@@ -3,7 +3,9 @@
 Everything here works from first definitions on a decoded tree — BFS
 distances, degrees, levels, exit labels, connected-subset enumeration —
 and deliberately shares no recursion code with the stats engine, so the
-two sides can be checked against each other.
+two sides can be checked against each other.  Subtrees (ST, RST) are
+enumerated set by set up to 2**16 sets, which covers every tree with
+n <= 5000; a tree with more is counted by the product over children.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .poly import IntPolynomial
 from .stats import STATISTICS, StatName, StatsEngine
 from .tree import RootedTree, decode
 
-_SUBSET_ENUMERATION_MAX = 16
+_ANALYSIS_BUDGET = 10_000  # vertices; all-pairs distances cost V**2
+_ENUMERATION_BUDGET = 1 << 16  # connected sets made before the product takes over
 
 
 @dataclass
@@ -67,18 +70,18 @@ class TreeAnalysis:
         return subtree_counts(self)
 
 
-def analyze(t: RootedTree, max_vertices: int = 10_000) -> TreeAnalysis:
+def analyze(t: RootedTree) -> TreeAnalysis:
     """Flatten a tree and precompute levels, degrees, exit labels, distances."""
     nodes: list[RootedTree] = []
     parent: list[int] = []
     stack: list[tuple[RootedTree, int]] = [(t, -1)]
     while stack:
         node, pi = stack.pop()
-        if len(nodes) >= max_vertices:
+        if len(nodes) >= _ANALYSIS_BUDGET:
             raise BudgetExceeded(
-                f"tree exceeds the oracle budget of {max_vertices} vertices",
+                f"tree exceeds the oracle budget of {_ANALYSIS_BUDGET} vertices",
                 needed=len(nodes) + 1,
-                limit=max_vertices,
+                limit=_ANALYSIS_BUDGET,
             )
         i = len(nodes)
         nodes.append(node)
@@ -143,53 +146,46 @@ def _bfs_distances(adjacency: list[list[int]], start: int) -> list[int]:
 # -- subtree counting -----------------------------------------------------
 
 
-def subtree_counts(an: TreeAnalysis, method: str = "auto") -> tuple[int, int]:
-    """Return (subtrees, root subtrees) = connected subgraph counts.
+def subtree_counts(an: TreeAnalysis) -> tuple[int, int]:
+    """Return (subtrees, root subtrees): the tree's connected vertex sets.
 
-    "enumerate" checks every vertex subset (needs <= 16 vertices);
-    "dp" multiplies (1 + count) over children.  "auto" enumerates when
-    small enough, which is the slower but more definitional route.
+    The sets are enumerated one by one while there are at most
+    ``_ENUMERATION_BUDGET`` of them; a tree with more is counted by the
+    product over children instead.
     """
-    if method == "auto":
-        method = "enumerate" if an.vertex_count <= _SUBSET_ENUMERATION_MAX else "dp"
-    if method == "enumerate":
-        if an.vertex_count > _SUBSET_ENUMERATION_MAX:
-            raise BudgetExceeded(
-                f"subset enumeration needs <= {_SUBSET_ENUMERATION_MAX} vertices, "
-                f"tree has {an.vertex_count}",
-                needed=an.vertex_count,
-                limit=_SUBSET_ENUMERATION_MAX,
-            )
-        return _subtrees_by_enumeration(an)
-    if method == "dp":
-        return _subtrees_by_dp(an)
-    raise InvalidInput(f"unknown subtree counting method {method!r}")
+    counts = _subtrees_by_enumeration(an)
+    return counts if counts is not None else _subtrees_by_dp(an)
 
 
-def _subtrees_by_enumeration(an: TreeAnalysis) -> tuple[int, int]:
+def _subtrees_by_enumeration(an: TreeAnalysis) -> tuple[int, int] | None:
+    """Make each connected vertex set once; None past ``_ENUMERATION_BUDGET``.
+
+    Sets grow from their lowest vertex v.  Taking w from a set's extension
+    (its neighbours above v still allowed in) makes one new set, whose
+    extension is the rest of the old one plus w's new neighbours.  Vertex
+    0 is the root, so the sets grown from v = 0 are the root subtrees.
+    """
     n = an.vertex_count
-    adj_mask = [0] * n
+    adj = {1 << i: 0 for i in range(n)}
     for a, b in an.edges:
-        adj_mask[a] |= 1 << b
-        adj_mask[b] |= 1 << a
-    total = rooted = 0
-    for mask in range(1, 1 << n):
-        seen = mask & (-mask)
-        frontier = seen
-        while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                low = m & (-m)
-                m ^= low
-                grow |= adj_mask[low.bit_length() - 1]
-            frontier = grow & mask & ~seen
-            seen |= frontier
-        if seen == mask:
-            total += 1
-            if mask & 1:
-                rooted += 1
-    return total, rooted
+        adj[1 << a] |= 1 << b
+        adj[1 << b] |= 1 << a
+    made = rooted = 0
+    for v in range(n):
+        above = ~((2 << v) - 1)
+        stack = [(1 << v, adj[1 << v] & above)]
+        while stack:
+            members, ext = stack.pop()
+            made += 1
+            if made > _ENUMERATION_BUDGET:
+                return None
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                stack.append((members | w, ext | (adj[w] & above & ~members)))
+        if v == 0:
+            rooted = made
+    return made, rooted
 
 
 def _subtrees_by_dp(an: TreeAnalysis) -> tuple[int, int]:
@@ -282,7 +278,7 @@ def oracle_value(an: TreeAnalysis, name: StatName, alpha=None, k: int | None = N
     statistic's record; a missing alpha and a parameter the statistic does
     not take are rejected, with the engine's messages.
     """
-    stat = STATISTICS[name]
+    stat = stats._statistic(name)
     if alpha is not None and stat.param != "alpha":
         raise InvalidInput(f"{name.value} takes no alpha parameter")
     if k is not None and stat.param != "k":

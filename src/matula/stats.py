@@ -293,6 +293,16 @@ _BY_NAME = {s.name: s for s in (*_RECORDS, _OMEGA)}
 _NO_MEMO: Any = MappingProxyType({})
 
 
+def _statistic(name: StatName) -> Statistic:
+    """name's record; a name that is not a ``StatName`` is ``UnsupportedName``."""
+    try:
+        return STATISTICS[name]
+    except KeyError:
+        raise UnsupportedName(
+            f"unknown statistic {name!r}; use StatName.from_string for a string"
+        ) from None
+
+
 def _simplify(v):
     if isinstance(v, Fraction) and v.denominator == 1:
         return int(v)
@@ -458,7 +468,7 @@ class StatsEngine:
         that is not a positive integer; a derived statistic has n checked
         before k.
         """
-        stat = STATISTICS[name]
+        stat = _statistic(name)
         if alpha is not None and stat.param != "alpha":
             raise InvalidInput(f"{name.value} takes no alpha parameter")
         if k is not None and stat.derive is None:
@@ -479,7 +489,7 @@ class StatsEngine:
         try:
             stat = _BY_NAME[name._value_]  # a str key: no Enum.__hash__ call
         except AttributeError:
-            stat = STATISTICS[name]
+            stat = _statistic(name)
         v = None
         if stat.param is None and alpha is None and k is None and type(n) is int and n > 0:
             # No check in _resolve can fail here, so a memoized value costs
@@ -544,7 +554,7 @@ class StatsEngine:
         """
         if r < 2 or s < 2:
             raise InvalidInput("both parts of a split must be >= 2")
-        if alpha is None and STATISTICS[name].param == "alpha":
+        if alpha is None and _statistic(name).param == "alpha":
             raise InvalidInput(f"{name.value} requires alpha")
         stat, a = self._resolve(name, r * s, alpha, None)
         if stat.composite is None:

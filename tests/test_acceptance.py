@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines and
-timings.  The deeper sweeps (criteria 4-8) take around a minute total.
+timings.  The deeper sweeps (criteria 4-8) take about 11 s together.
 """
 
 import random
@@ -10,9 +10,9 @@ import sys
 import time
 from pathlib import Path
 
-from matula import primes, tree
+from matula import oracle, primes, tree
 from matula.cli import main as cli_main
-from matula.oracle import analyze, compare_all, random_split_check, subtree_counts
+from matula.oracle import analyze, compare_all, random_split_check
 from matula.poly import IntPolynomial
 from matula.stats import StatName, StatsEngine
 from matula.tree import decode, encode
@@ -72,16 +72,26 @@ def test_criterion_4_bijection_to_100000():
     )
 
 
-def test_criterion_5_oracle_equivalence_to_5000():
+def test_criterion_5_oracle_equivalence_to_5000(monkeypatch):
+    answers = []  # what subset enumeration gave the oracle, one entry per tree
+    enumerate_subtrees = oracle._subtrees_by_enumeration
+
+    def recorded(an):
+        answers.append(enumerate_subtrees(an))
+        return answers[-1]
+
+    monkeypatch.setattr(oracle, "_subtrees_by_enumeration", recorded)
     engine = StatsEngine()
     mismatches: list[str] = []
     for n in range(1, 5001):
         mismatches.extend(compare_all(n, engine))
-    ok = not mismatches
+    enumerated = sum(a is not None for a in answers)
+    ok = not mismatches and len(answers) == enumerated == 5000
     _report(
         5,
         ok,
-        f"every statistic vs oracle for n in 1..5000: {len(mismatches)} mismatches"
+        f"every statistic vs oracle for n in 1..5000: {len(mismatches)} mismatches, "
+        f"ST/RST enumerated on {enumerated} of {len(answers)} trees"
         + (f"; first: {mismatches[0]}" if mismatches else ""),
     )
 
@@ -159,18 +169,18 @@ def test_criterion_7_split_invariance_1000_composites():
 
 def test_criterion_8_subtree_counts_brute_force():
     engine = StatsEngine()
-    checked = 0
+    enumerated = 0
     bad = 0
     for n in range(1, 2001):
-        an = analyze(decode(n))
-        if an.vertex_count > 14:
+        counts = oracle._subtrees_by_enumeration(analyze(decode(n)))
+        if counts is None:
             continue
-        checked += 1
-        st, rst = subtree_counts(an, "enumerate")
+        enumerated += 1
+        st, rst = counts
         if engine.compute(S.ST, n) != st or engine.compute(S.RST, n) != rst:
             bad += 1
-    _report(8, bad == 0 and checked > 0,
-            f"ST/RST vs subset enumeration on {checked} trees (n <= 2000, V <= 14): "
+    _report(8, bad == 0 and enumerated == 2000,
+            f"ST/RST vs subset enumeration on {enumerated} of 2000 trees (n <= 2000): "
             f"{bad} failures")
 
 

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matula import oracle
@@ -16,6 +18,7 @@ from matula.oracle import (
     subtree_counts,
 )
 from matula.poly import IntPolynomial
+from matula.primes import nth_prime
 from matula.stats import STATISTICS, StatName, StatsEngine
 from matula.tree import decode, encode, parse_canonical_string, to_canonical_string
 
@@ -77,32 +80,31 @@ def test_oracle_spot_values():
 def test_subtree_counts_of_star():
     an = analyze(decode(4))
     # 3 single vertices + 2 edges + the whole star
-    assert subtree_counts(an, "enumerate") == (6, 4)
-    assert subtree_counts(an, "dp") == (6, 4)
+    assert oracle._subtrees_by_enumeration(an) == (6, 4)
+    assert oracle._subtrees_by_dp(an) == (6, 4)
 
 
 def test_enumeration_matches_dp():
     for n in range(1, 400):
         an = analyze(decode(n))
-        if an.vertex_count <= 14:
-            assert subtree_counts(an, "enumerate") == subtree_counts(an, "dp")
+        assert oracle._subtrees_by_enumeration(an) == oracle._subtrees_by_dp(an)
 
 
 def test_enumeration_budget():
-    an = analyze(decode(3 ** 17))  # 35 vertices
-    with pytest.raises(BudgetExceeded) as exc:
-        subtree_counts(an, "enumerate")
-    assert str(exc.value) == "subset enumeration needs <= 16 vertices, tree has 35"
-    assert (exc.value.needed, exc.value.limit) == (35, 16)
-    st, rst = subtree_counts(an, "auto")  # falls back to the dp route
-    assert st > rst > 0
+    big = analyze(decode(3 ** 17))  # 35 vertices, 129140214 subtrees
+    assert oracle._subtrees_by_enumeration(big) is None
+    assert subtree_counts(big) == oracle._subtrees_by_dp(big) == (129140214, 129140163)
+    # 21 vertices, past the old cap of 16, and 59079 <= 2**16 subtrees
+    an = analyze(decode(3 ** 10))
+    assert an.vertex_count == 21
+    assert oracle._subtrees_by_enumeration(an) == oracle._subtrees_by_dp(an) == (59079, 59049)
 
 
 def test_analysis_budget():
     with pytest.raises(BudgetExceeded) as exc:
-        analyze(decode(2 ** 30), max_vertices=10)
-    assert str(exc.value) == "tree exceeds the oracle budget of 10 vertices"
-    assert (exc.value.needed, exc.value.limit) == (11, 10)
+        analyze(decode(2 ** 10000))  # a star with 10001 vertices
+    assert str(exc.value) == "tree exceeds the oracle budget of 10000 vertices"
+    assert (exc.value.needed, exc.value.limit) == (10001, 10000)
 
 
 def _exit_labels_by_procedure(an):
@@ -203,6 +205,21 @@ def test_oracle_rejects_parameters_a_statistic_does_not_take():
                 oracle_value(an, name, **kw)
 
 
+def test_engine_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    engine = StatsEngine()
+    for n in range(1, 501):
+        an = analyze(decode(n))
+        g = nx.Graph(an.edges)
+        g.add_node(0)  # the single vertex has no edge
+        assert engine.compute(S.W, n) == nx.wiener_index(g)
+        assert engine.compute(S.DM, n) == nx.diameter(g)
+        degrees = Counter(d for _, d in g.degree())
+        assert engine.compute(S.DSP, n) == IntPolynomial(
+            [degrees[d] for d in range(max(degrees) + 1)]
+        )
+
+
 def test_random_split_check_unique_split():
     assert random_split_check(4, rng_seed=0)
 
@@ -239,16 +256,19 @@ def test_random_split_sampling_is_seeded():
 def _trees(draw):
     """A parenthesized tree, children in drawn order, and its vertex count.
 
-    At most 16 vertices and height 4 keep the Matula number at or below
-    8563829 and the tree within reach of subset enumeration.
+    At most 40 vertices.  Draws where a subtree below the root has a
+    Matula number past 10**6 are rejected, so that no ``nth_prime`` call
+    asks for more than the 10**6-th prime.
     """
-    size = draw(st.integers(1, 16))
-    depth, children = [0], [[]]
+    size = draw(st.integers(1, 40))
+    children: list[list[int]] = [[]]
     for v in range(1, size):
-        parent = draw(st.sampled_from([u for u in range(v) if depth[u] < 4]))
-        depth.append(depth[parent] + 1)
+        children[draw(st.integers(0, v - 1))].append(v)
         children.append([])
-        children[parent].append(v)
+    numbers = [1] * size  # children come after their parent
+    for v in range(size - 1, 0, -1):
+        numbers[v] = prod(nth_prime(numbers[c]) for c in children[v])
+        assume(numbers[v] <= 10**6)
 
     def paren(u):
         return "(" + "".join(paren(c) for c in children[u]) + ")"
@@ -257,16 +277,18 @@ def _trees(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_trees())
-def test_random_trees_round_trip_and_match_the_oracle(drawn):
+@given(_trees(), st.integers(0, 2**31 - 1))
+def test_random_trees_round_trip_and_match_the_oracle(drawn, seed):
     text, size = drawn
     t = parse_canonical_string(text)
     n = encode(t)
-    assert 1 <= n <= 8563829
     canonical = to_canonical_string(t)
     assert len(canonical) == len(text) == 2 * size
     assert to_canonical_string(decode(n)) == canonical
     assert encode(parse_canonical_string(canonical)) == n
     an = analyze(t)
     assert an.vertex_count == size
-    assert compare_all(n, StatsEngine(), an) == []
+    engine = StatsEngine()
+    assert compare_all(n, engine, an) == []
+    if len(t.children) >= 2:  # n is composite
+        assert random_split_check(n, seed, engine)

@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -311,6 +313,21 @@ def test_name_parsing():
         StatName.from_string("nope")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: StatsEngine().compute("V", 9),
+        lambda: StatsEngine().fill("V", 1, 9),
+        lambda: StatsEngine().composite_value("V", 2, 3),
+        lambda: oracle_value(analyze(decode(9)), "V"),
+    ],
+    ids=["compute", "fill", "composite_value", "oracle_value"],
+)
+def test_a_plain_string_name_is_unsupported(call):
+    with pytest.raises(UnsupportedName, match="^unknown statistic 'V'"):
+        call()
+
+
 def test_docs_tables_are_complete():
     for name in StatName:
         assert name in DESCRIPTIONS
@@ -451,6 +468,36 @@ def test_values_do_not_depend_on_evaluation_order(name, n, choice, warm, seed):
     ]
     assert [str(v) for v in got] == [str(cold)] * 2
     assert got == [cold] * 2
+
+
+def test_one_engine_per_thread_over_a_shared_growing_sieve():
+    rng = random.Random(8)
+    work = [
+        (rng.choice(list(StatName)), rng.randrange(1, 30000), rng.randrange(4))
+        for _ in range(200)
+    ]
+    reference = StatsEngine()
+    want = [reference.compute(name, n, **_params(name, c)) for name, n, c in work]
+    sieve = PrimeSieve(initial_bound=1000)  # grows while the threads run
+    results: dict[int, list] = {}
+
+    def worker(ident: int):
+        engine = StatsEngine(sieve)
+        results[ident] = [engine.compute(name, n, **_params(name, c)) for name, n, c in work]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-growth too
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sieve._limit > 1000
+    assert results == {i: want for i in range(len(threads))}
 
 
 def test_readme_table_matches_the_registry():
