@@ -15,7 +15,6 @@ from .errors import (
     ParseError,
     UnsupportedName,
 )
-from .oracle import TreeAnalysis, analyze, oracle_stat, random_split_check
 from .poly import IntPolynomial
 from .primes import Factorization, PrimeSieve, factorize, nth_prime, prime_index
 from .stats import (
@@ -36,6 +35,19 @@ from .tree import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle is loaded on first use: only selftest and library callers need
+# it, and importing it would slow every one-shot command.
+_ORACLE_NAMES = frozenset({"TreeAnalysis", "analyze", "oracle_stat", "random_split_check"})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BudgetExceeded",

@@ -10,7 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import oracle, primes, stats, tree
+from . import primes, stats, tree
 from .errors import MatulaError, ParseError
 from .stats import StatName
 
@@ -168,7 +168,12 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.bfile_path, "rb") as fh:
-        entries = parse_bfile(fh.read().decode("utf-8"))
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("b-file is not UTF-8", exc.start) from None
+    entries = parse_bfile(text)
     if args.limit is not None:
         entries = entries[: args.limit]
     engine = stats.default_engine()
@@ -185,6 +190,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import oracle  # only selftest needs the oracle
+
     engine = stats.StatsEngine()
     failures: list[str] = []
     for n in range(1, args.max_n + 1):
@@ -224,14 +231,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "table" and args.lo > args.hi:
         parser.error(f"table needs lo <= hi, got lo={args.lo} hi={args.hi}")
+    # Parsed input kept Python's digit limit (0 = none, or a Python without
+    # one); an exact answer prints in full.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
-    except MatulaError as exc:
+    except (MatulaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -29,16 +28,19 @@ _ANALYSIS_BUDGET = 10_000  # vertices; all-pairs distances cost V**2
 _ENUMERATION_BUDGET = 1 << 16  # connected sets made before the product takes over
 
 
-@dataclass
 class VertexInfo:
-    level: int
-    degree: int
-    parent: int | None
-    is_leaf: bool
-    exit_distance: int
+    __slots__ = ("level", "degree", "parent", "is_leaf", "exit_distance")
+
+    def __init__(
+        self, level: int, degree: int, parent: int | None, is_leaf: bool, exit_distance: int
+    ):
+        self.level = level
+        self.degree = degree
+        self.parent = parent
+        self.is_leaf = is_leaf
+        self.exit_distance = exit_distance
 
 
-@dataclass
 class TreeAnalysis:
     """Per-vertex data plus the all-pairs distance matrix.
 
@@ -46,11 +48,19 @@ class TreeAnalysis:
     lists dist[i][j] for i < j, row by row.
     """
 
-    vertices: list[VertexInfo]
-    children: list[list[int]]
-    edges: list[tuple[int, int]]
-    dist: list[list[int]]
-    pair_dists: list[int]
+    def __init__(
+        self,
+        vertices: list[VertexInfo],
+        children: list[list[int]],
+        edges: list[tuple[int, int]],
+        dist: list[list[int]],
+        pair_dists: list[int],
+    ):
+        self.vertices = vertices
+        self.children = children
+        self.edges = edges
+        self.dist = dist
+        self.pair_dists = pair_dists
 
     @property
     def vertex_count(self) -> int:
@@ -291,7 +301,8 @@ def oracle_value(an: TreeAnalysis, name: StatName, alpha=None, k: int | None = N
             raise InvalidInput(f"{name.value} requires alpha")
         exact, a = stats._alpha_mode(alpha)
         if exact:
-            return stats._simplify(define(an, lambda b: Fraction(b) ** a))
+            power = (lambda b: b**a) if a >= 0 else (lambda b: Fraction(b) ** a)
+            return stats._simplify(define(an, power))
         return float(define(an, lambda b: float(b) ** a))
     k = stat.default if k is None else k
     if k is None:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
 from math import isqrt, log
+from typing import NamedTuple
 
 from .errors import CapacityExceeded, InvalidInput, NotPrime
 
@@ -25,8 +25,7 @@ _SEGMENT = 1 << 18  # odd numbers struck per pass while the sieve grows
 _BLOCK = 512  # odd numbers per prime count; a query scans at most one block
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization: ascending (prime, multiplicity) pairs.
 
     ``omega`` is the number of prime factors counted with multiplicity.

@@ -28,10 +28,9 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import primes
 from .errors import InternalIntegrityError, InvalidInput, UnsupportedName
@@ -43,8 +42,7 @@ _monomial = IntPolynomial.monomial
 StatValue = Any  # int | Fraction | IntPolynomial | float
 
 
-@dataclass(frozen=True)
-class Statistic:
+class Statistic(NamedTuple):
     """One statistic and its recursion.
 
     At n in ``base`` the value is ``base[n]``; at a prime n = p_t it is
@@ -353,8 +351,18 @@ def _step(plan: list, m: int, kids: tuple[int, ...]) -> None:
             memo[m] = v
 
 
+# Longest exact power b**alpha, in bits (about alpha * log2(b)): one this
+# long prints in about 0.03 s, and one far longer would exhaust memory.
+_POWER_BITS = 1 << 17
+
+
 def _pow(base: int, alpha):
     if isinstance(alpha, int):
+        if base > 1 and abs(alpha) * base.bit_length() > _POWER_BITS:
+            raise InvalidInput(
+                f"{base}**{alpha} would exceed {_POWER_BITS} bits; "
+                f"alpha {alpha} is too large"
+            )
         return base**alpha if alpha >= 0 else Fraction(base) ** alpha
     try:
         return float(base) ** alpha

@@ -13,7 +13,6 @@ per integer.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from typing import Iterable
 
@@ -140,6 +139,8 @@ def to_json_dict(t: RootedTree) -> dict:
 
 
 def to_json(t: RootedTree, indent: int | None = None) -> str:
+    import json  # off the import path of every other command
+
     return json.dumps(to_json_dict(t), indent=indent)
 
 

@@ -35,6 +35,30 @@ def test_decode_json(capsys):
     assert json.loads(out)["matula"] == "4"
 
 
+def test_decode_json_layout(capsys):
+    code, out, _ = run(capsys, "decode", "6", "--format", "json")
+    assert code == EXIT_OK
+    assert out == """{
+  "matula": "6",
+  "children": [
+    {
+      "matula": "1",
+      "children": []
+    },
+    {
+      "matula": "2",
+      "children": [
+        {
+          "matula": "1",
+          "children": []
+        }
+      ]
+    }
+  ]
+}
+"""
+
+
 def test_decode_dot(capsys):
     code, out, _ = run(capsys, "decode", "4", "--format", "dot")
     assert code == EXIT_OK
@@ -302,8 +326,16 @@ def _run_matula(argv):
         ["stat", "V", str(3 * (10**51 + 7))],
         ["stat", "V", "1000000007"],
         ["stat", "A_ALPHA", "7", "--alpha", "2001/2"],
+        ["stat", "A_ALPHA", "3", "--alpha", "1e12"],
     ],
-    ids=["zero", "10**51+7", "3*(10**51+7)", "prime-past-ceiling", "alpha-overflow"],
+    ids=[
+        "zero",
+        "10**51+7",
+        "3*(10**51+7)",
+        "prime-past-ceiling",
+        "alpha-overflow",
+        "int-alpha-too-large",
+    ],
 )
 def test_extreme_input_exits_without_traceback(argv):
     proc = _run_matula(argv)
@@ -316,3 +348,52 @@ def test_fresh_process_answers_a_power_past_the_ceiling():
     # sqrt(2**400) is past the sieve ceiling, but 2 divides it out.
     proc = _run_matula(["stat", "V", str(2**400)])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "401\n", "")
+
+
+def test_answer_past_the_digit_limit_prints_in_full():
+    # The star with 200 leaves: 19900 leaf pairs at distance 2.
+    proc = _run_matula(["stat", "MULT_W", str(2**200)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(proc.stdout) == 2**19900
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_verify_non_utf8_bfile_is_an_error(tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_bytes(b"1 1\n2 \xff\n")
+    proc = _run_matula(["verify", "V", str(path)])
+    assert proc.returncode == 1
+    assert proc.stderr == "error: b-file is not UTF-8 (at byte 6)\n"
+
+
+def test_one_shot_commands_import_only_what_they_run():
+    code = (
+        "import sys, matula.cli; "
+        "print(sorted(m for m in ('matula.oracle', 'dataclasses', 'inspect', 'json') "
+        "if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_selftest_loads_the_oracle_in_a_fresh_process():
+    proc = _run_matula(["selftest", "--max-n", "5"])
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("selftest OK\n")
+
+
+def test_every_public_name_resolves():
+    import matula
+
+    for name in matula.__all__:
+        assert getattr(matula, name) is not None, name
+    namespace = {}
+    exec("from matula import *", namespace)
+    assert set(matula.__all__) <= set(namespace)

@@ -19,7 +19,14 @@ from matula.errors import (
 from matula.oracle import analyze, oracle_value
 from matula.poly import ZERO, IntPolynomial
 from matula.primes import PrimeSieve
-from matula.stats import DESCRIPTIONS, OEIS_IDS, STATISTICS, StatName, StatsEngine
+from matula.stats import (
+    _POWER_BITS,
+    DESCRIPTIONS,
+    OEIS_IDS,
+    STATISTICS,
+    StatName,
+    StatsEngine,
+)
 from matula.tree import decode
 
 S = StatName
@@ -283,6 +290,23 @@ def test_float_alpha_overflow_is_invalid_input(name):
     with pytest.raises(InvalidInput, match=message):
         engine.fill(name, 1, 8, alpha=Fraction(2001, 2))
     assert isinstance(engine.compute(name, 7, alpha=Fraction(-2001, 2)), float)
+
+
+@pytest.mark.parametrize("name", [S.A_ALPHA, S.R_ALPHA])
+def test_integer_alpha_past_the_power_bound_is_invalid_input(name):
+    # The path 3: A sums 2**alpha over one vertex, R over two edges; 2 has
+    # bit length 2.
+    engine = StatsEngine()
+    terms = 1 if name is S.A_ALPHA else 2
+    largest = _POWER_BITS // 2
+    assert engine.compute(name, 3, alpha=largest) == terms * 2**largest
+    assert engine.compute(name, 3, alpha=-largest) == Fraction(terms, 2**largest)
+    for alpha in (largest + 1, -largest - 1, 10**12):
+        with pytest.raises(InvalidInput, match=rf"^2\*\*{alpha} would exceed"):
+            engine.compute(name, 3, alpha=alpha)
+        with pytest.raises(InvalidInput, match=rf"^2\*\*{alpha} would exceed"):
+            engine.fill(name, 1, 8, alpha=alpha)
+    assert engine.compute(name, 2, alpha=10**12) == 1  # the one degree is 1
 
 
 def test_composite_value_split_guard(engine):
