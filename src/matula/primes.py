@@ -4,8 +4,9 @@ A lazily grown segmented sieve backs three queries: the m-th prime, the
 index (order) of a given prime, and factorization into sorted
 (prime, multiplicity) pairs.  The sieve keeps one byte per odd number
 plus a running prime count every ``_BLOCK`` odd numbers, so no Python
-int is made per prime.  ``smallest_prime_factors`` sieves one range on
-its own, for passes over every n in it.  Everything is exact and
+int is made per prime.  ``smallest_prime_factors`` is a segmented range
+sieve over the same striking kernel, ``_strikes``, for passes over every
+n in a range; it keeps one segment, not the range.  Everything is exact and
 deterministic; requests that would need primes beyond the configured
 ceiling raise CapacityExceeded instead of grinding forever.
 """
@@ -15,9 +16,9 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from math import isqrt, log
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CapacityExceeded, InvalidInput, NotPrime
 
@@ -95,12 +96,7 @@ class PrimeSieve:
         base = list(compress(range(3, root + 1, 2), odd[1 : (root + 1) // 2]))
         for low in range(len(old), size, _SEGMENT):
             high = min(low + _SEGMENT, size)
-            for p in base:
-                start = p * p >> 1  # the index of p * p
-                if start >= high:
-                    break
-                if start < low:
-                    start = low + (start - low) % p
+            for p, start in _strikes(base, low, high):
                 odd[start:high:p] = bytes(len(range(start, high, p)))
         counts = counts[: len(old) // _BLOCK + 1]  # drop a partial last block
         starts = range((len(counts) - 1) * _BLOCK, size, _BLOCK)
@@ -227,25 +223,45 @@ class PrimeSieve:
         return result
 
 
-def smallest_prime_factors(lo: int, hi: int) -> list[int]:
-    """Smallest prime factor of each composite n in [lo, hi]; 0 at primes and 1.
+def _strikes(base: list[int], low: int, high: int) -> Iterator[tuple[int, int]]:
+    """(p, first index) of each prime p in base that strikes odd indices [low, high).
 
-    ``result[n - lo]`` belongs to n.  A local sieve supplies the primes up
-    to sqrt(hi), so the shared sieve is neither read nor grown.
+    Index i stands for the odd number 2i + 1, so p's odd multiples lie p
+    indices apart, and striking starts at p * p.  base holds odd primes,
+    ascending.
+    """
+    for p in base:
+        start = p * p >> 1  # the index of p * p
+        if start >= high:
+            break
+        if start < low:
+            start = low + (start - low) % p
+        yield p, start
+
+
+def smallest_prime_factors(lo: int, hi: int) -> Iterator[int]:
+    """Yield the smallest prime factor of each composite n in [lo, hi], in order.
+
+    Primes and 1 give 0.  The odd numbers are struck ``_SEGMENT`` at a
+    time by ``_strikes``, largest prime first so that each ends up marked
+    by its smallest, and the even ones are 2.  A local sieve supplies the
+    primes up to sqrt(hi), so the shared sieve is neither read nor grown,
+    and memory stays one segment.
     """
     root = isqrt(hi)
-    is_prime = bytearray(b"\x01") * (root + 1)
-    base = []
-    for p in range(2, root + 1):
-        if is_prime[p]:
-            base.append(p)
-            is_prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
-    spf = [0] * (hi - lo + 1)
-    # Largest prime first, so that each n ends up marked by its smallest.
-    for p in reversed(base):
-        start = max(p * p, -(-lo // p) * p)
-        spf[start - lo :: p] = [p] * len(range(start, hi + 1, p))
-    return spf
+    local = PrimeSieve()
+    local._extend(root)
+    base = list(compress(range(3, root + 1, 2), local._state[1][1:]))
+    yield from (0, 0)[lo - 1 : hi]  # n = 1 and 2, which no segment holds
+    stop = (hi + 1) // 2  # the odd index of the last odd n <= hi, plus one
+    for low in range(max((lo - 1) // 2, 1), stop, _SEGMENT):
+        high = min(low + _SEGMENT, stop)
+        spf = [0, 2] * (high - low)  # n = 2 * low + 1 + j at spf[j]
+        for p, start in reversed(list(_strikes(base, low, high))):
+            spf[2 * (start - low) :: 2 * p] = [p] * len(range(start, high, p))
+        first = 2 * low + 1
+        yield from islice(spf, max(lo - first, 0), hi + 1 - first)
+        del spf  # before the next segment's list exists
 
 
 _default: PrimeSieve | None = None

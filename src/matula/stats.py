@@ -7,13 +7,14 @@ the oracle and one row in the README table.
 
 The engine memoizes one dict per (statistic, alpha), keyed by n.  Every
 child of n is smaller than n (t = pi(p) < p, and r, n/r < n for the
-composite split), so it collects the part of n's DAG that is not yet
-memoized with an explicit stack and fills the memo in ascending n; stack
-depth does not grow with n.  ``StatsEngine.fill`` memoizes a whole range
-of n in one ascending pass, taking the children from a smallest-prime-factor
-sieve of the range instead.  The composite split is always r = smallest
-prime factor, which keeps r prime (required by the BV and TW rules) and
-makes the recursion shape canonical.
+composite split), so one stepping loop, ``_run``, fills the memos of a
+statistic's plan in ascending n from each n's children.  Two feeders
+give it those: the sparse one (``compute``) collects the part of n's DAG
+that is not yet memoized with an explicit stack, so stack depth does not
+grow with n; the dense one (``fill``) walks a whole range with a
+segmented smallest-prime-factor sieve and a running prime count.  The
+composite split is always r = smallest prime factor, which keeps r prime
+(required by the BV and TW rules) and makes the recursion shape canonical.
 
 Every value is computed in exact integers where it is one: the
 multiplicative statistics (NK, MZ1, MZ2) multiply first and then divide
@@ -30,7 +31,7 @@ import math
 import threading
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import primes
 from .errors import InternalIntegrityError, InvalidInput, UnsupportedName
@@ -332,23 +333,26 @@ def _not_integral(stat: Statistic, n: int, exc: _NotIntegral) -> InternalIntegri
     return InternalIntegrityError(f"{stat.name}({n}) came out non-integral: {exc}")
 
 
-def _step(plan: list, m: int, kids: tuple[int, ...]) -> None:
-    """Memoize m in each memo of plan that lacks it; kids are memoized already.
+def _run(plan: list, steps: Iterable[tuple[int, tuple[int, ...]]]) -> None:
+    """Memoize each m of steps in every memo of plan that lacks it.
 
-    kids are (t,) when m = p_t is prime and (r, m // r) when m is composite.
+    steps are (m, kids) in ascending m, and kids are (t,) when m = p_t is
+    prime, (r, m // r) when m is composite and () at m = 1; every kid is
+    memoized before m's step.  This is the only code that fills a memo.
     """
-    for dep, a, memo, tables in plan:
-        if m not in memo:
-            v = dep.base.get(m)
-            if v is None:
-                rule = dep.prime if len(kids) == 1 else dep.composite
-                try:
-                    v = rule(*kids, *tables)
-                except _NotIntegral as exc:
-                    raise _not_integral(dep, m, exc) from None
-            if a is not None:  # else never a Fraction
-                v = _finish(v, a)
-            memo[m] = v
+    for m, kids in steps:
+        for dep, a, memo, tables in plan:
+            if m not in memo:
+                v = dep.base.get(m)
+                if v is None:
+                    rule = dep.prime if len(kids) == 1 else dep.composite
+                    try:
+                        v = rule(*kids, *tables)
+                    except _NotIntegral as exc:
+                        raise _not_integral(dep, m, exc) from None
+                if a is not None:  # else never a Fraction
+                    v = _finish(v, a)
+                memo[m] = v
 
 
 # Longest exact power b**alpha, in bits (about alpha * log2(b)): one this
@@ -392,14 +396,19 @@ class StatsEngine:
             raise InvalidInput(f"n must be a positive integer, got {n!r}")
 
     def _plan(self, stat: Statistic, alpha) -> tuple[list, list]:
-        """Return (entries, memos) for evaluating stat at alpha.
+        """Return (entries, memos) for what ``compute(stat)`` at alpha reads.
 
-        entries are (record, alpha, memo, read tables) for stat and for every
-        statistic it reads, stat first; memos are their memos in that order.
+        entries are (record, alpha, memo, read tables) for stat, or for a
+        derived statistic its source, first; then for DSP when stat is
+        multiplicative, and for every statistic these read.  memos are
+        their memos in that order.
         """
         key = (stat.name, alpha)
         if key not in self._plans:
-            plan, keys = [], [key]
+            keys = [(stat.reads[0], None)] if stat.derive else [key]
+            if stat.degree_power is not None:  # for the check against DSP
+                keys.append(("DSP", None))
+            plan = []
             for name, a in keys:  # keys grows as new reads turn up
                 tables = []
                 for read in _BY_NAME[name].reads:
@@ -421,7 +430,12 @@ class StatsEngine:
         return self._plans[key]
 
     def _eval(self, stat: Statistic, n: int, alpha=None):
-        """stat's value at n; fills the memos bottom-up, without recursion."""
+        """The first memo of stat's plan at n, filled by the sparse feeder.
+
+        It collects the part of n's DAG that some memo lacks with an
+        explicit stack, factorizing and indexing each m, and runs it in
+        ascending m; stack depth does not grow with n.
+        """
         plan, memos = self._plans.get((stat.name, alpha)) or self._plan(stat, alpha)
         if n in memos[0]:
             return memos[0][n]
@@ -445,9 +459,30 @@ class StatsEngine:
                     if kid not in memo:
                         stack.append(kid)
                         break
-        for m in sorted(children):
-            _step(plan, m, children[m])
+        _run(plan, sorted(children.items()))
         return memos[0][n]
+
+    def _dense(self, stat: Statistic, alpha, lo: int, hi: int):
+        """Yield (n, kids) for lo <= n <= hi, ascending: the dense feeder.
+
+        Composites split at their smallest prime factor, read from a range
+        sieve, and each prime's index is a running count from the first
+        prime >= lo, which one ``prime_index`` call gives when lo > 2.
+        Children below lo are memoized first through ``_eval``.
+        """
+        index = 0 if lo <= 2 else None  # pi(n) at the last prime n passed
+        for n, r in enumerate(primes.smallest_prime_factors(lo, hi), lo):
+            if r:
+                kids: tuple[int, ...] = (r, n // r)
+            elif n == 1:
+                kids = ()
+            else:
+                index = self._sieve.prime_index(n) if index is None else index + 1
+                kids = (index,)
+            for kid in kids:
+                if kid < lo:
+                    self._eval(stat, kid, alpha)
+            yield n, kids
 
     def _check_degrees(self, stat: Statistic, n: int, v: int) -> int:
         """Return v after recomputing it from the degree multiset read off DSP.
@@ -456,9 +491,7 @@ class StatsEngine:
         """
         if n < 2:
             return v
-        dsp = self._memo.get(("DSP", None), _NO_MEMO).get(n)
-        if dsp is None:
-            dsp = self._eval(_BY_NAME["DSP"], n)
+        dsp = self._eval(_BY_NAME["DSP"], n)
         power = stat.degree_power
         check = math.prod(
             deg ** (power(deg) * count) for deg, count in enumerate(dsp.coeffs) if count
@@ -511,7 +544,7 @@ class StatsEngine:
                     raise InvalidInput(f"{name.value} requires k")
                 if k is not None and k < 0:
                     raise InvalidInput(f"k must be >= 0, got {k}")
-                return stat.derive(self._eval(_BY_NAME[stat.reads[0]], n), k)
+                return stat.derive(self._eval(stat, n), k)
             v = self._eval(stat, n, alpha)
         if stat.degree_power is not None:
             return self._check_degrees(stat, n, v)
@@ -520,39 +553,15 @@ class StatsEngine:
     def fill(self, name: StatName, lo: int, hi: int, alpha=None) -> None:
         """Memoize what ``compute(name, n, alpha=alpha)`` reads, for lo <= n <= hi.
 
-        One ascending pass takes each n's children from a smallest-prime-factor
-        sieve of the range and each prime's index from a running count, so it
-        neither factorizes nor grows the shared sieve, apart from one
-        ``prime_index`` call that gives pi(lo - 1) when lo > 2.  Children
-        below lo come from the per-n path.  The pass stops at the sieve's
+        The dense feeder walks the range, so the pass neither factorizes
+        nor grows the shared sieve, apart from the one ``prime_index``
+        call at the first prime >= lo when lo > 2.  It stops at the sieve's
         ceiling; ``compute`` meets any n past it on its own.
         """
-        self._check_n(lo)
-        self._check_n(hi)
         stat, alpha = self._resolve(name, lo, alpha, None)
-        if stat.derive is not None:
-            targets = [(_BY_NAME[stat.reads[0]], None)]
-        elif stat.degree_power is not None:  # compute also reads DSP
-            targets = [(stat, None), (_BY_NAME["DSP"], None)]
-        else:
-            targets = [(stat, alpha)]
-        plans = [self._plan(dep, a)[0] for dep, a in targets]
-        index = 0 if lo <= 2 else None  # pi(n) at the last prime n passed
-        spf = primes.smallest_prime_factors(lo, min(hi, self._sieve.ceiling))
-        for n, r in enumerate(spf, lo):
-            if r:
-                kids: tuple[int, ...] = (r, n // r)
-            elif n == 1:
-                kids = ()
-            else:
-                index = self._sieve.prime_index(n) if index is None else index + 1
-                kids = (index,)
-            for kid in kids:
-                if kid < lo:
-                    for dep, a in targets:
-                        self._eval(dep, kid, a)
-            for plan in plans:
-                _step(plan, n, kids)
+        self._check_n(hi)
+        plan = self._plan(stat, alpha)[0]
+        _run(plan, self._dense(stat, alpha, lo, min(hi, self._sieve.ceiling)))
 
     def composite_value(self, name: StatName, r: int, s: int, alpha=None) -> StatValue:
         """Evaluate a statistic's composite-case rule at the split n = r*s.

@@ -39,6 +39,14 @@ class RootedTree:
         self.children = kids
         self.matula = m
 
+    @classmethod
+    def _known(cls, children: tuple["RootedTree", ...], matula: int) -> "RootedTree":
+        """The tree with these children, already in canonical order, and number."""
+        t = cls.__new__(cls)
+        t.children = children
+        t.matula = matula
+        return t
+
     def is_leaf(self) -> bool:
         return not self.children
 
@@ -65,14 +73,14 @@ def decode(n: int) -> RootedTree:
 
 @lru_cache(maxsize=None)
 def _decode(n: int) -> RootedTree:
-    if n == 1:
-        return RootedTree()
-    sieve = primes.default_sieve()
+    # Ascending primes have ascending indices, so the children come out in
+    # canonical order, and n is the tree's number as given.
     kids: list[RootedTree] = []
-    for p, k in sieve.factorize(n).factors:
-        child = _decode(sieve.prime_index(p))
-        kids.extend([child] * k)
-    return RootedTree(kids)
+    if n > 1:
+        sieve = primes.default_sieve()
+        for p, k in sieve.factorize(n).factors:
+            kids.extend([_decode(sieve.prime_index(p))] * k)
+    return RootedTree._known(tuple(kids), n)
 
 
 def clear_decode_cache() -> None:

@@ -1,0 +1,65 @@
+"""Show that two source trees give byte-identical CLI output.
+
+Usage: python3 tests/compare_outputs.py OLD_TREE NEW_TREE
+
+Runs each command below with ``python -m matula`` against each tree's
+``src`` and compares stdout, stderr and exit code; it also runs
+record_output_digests.py (from this checkout) against each tree.
+Prints one line per difference and exits 1 if there is any, else 0.
+
+- ``table S 1 5000`` for every statistic, and A_ALPHA and R_ALPHA also
+  at alpha 0, 1, 2, -1 and -1/2;
+- ``selftest --max-n 300 --seed 0..2``;
+- ``decode 987654321`` in each format, ``encode "(()(()))"``;
+- ``stat NK 987654321`` and ``stat HYPER_W 987654321``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+RECORDER = Path(__file__).resolve().parent / "record_output_digests.py"
+
+
+def _run(tree: Path, argv: list[str]) -> tuple:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run(
+        [sys.executable, *argv], env=env, cwd=tree, capture_output=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _commands(tree: Path) -> list[list[str]]:
+    names = _run(tree, ["-c", "from matula.stats import STATISTICS as S\n"
+                        "for s in S.values(): print(s.name, s.param)"])[1]
+    commands = []
+    for line in names.decode().splitlines():
+        name, param = line.split()
+        commands.append(["table", name, "1", "5000"])
+        if param == "alpha":
+            for alpha in ("0", "1", "2", "-1", "-1/2"):
+                commands.append(["table", name, "1", "5000", f"--alpha={alpha}"])
+    commands += [["selftest", "--max-n", "300", "--seed", str(s)] for s in range(3)]
+    commands += [["decode", "987654321", "--format", f] for f in ("paren", "json", "dot")]
+    commands += [["encode", "(()(()))"], ["stat", "NK", "987654321"],
+                 ["stat", "HYPER_W", "987654321"]]
+    return [["-m", "matula", *c] for c in commands] + [[str(RECORDER)]]
+
+
+def main() -> int:
+    old, new = (Path(p).resolve() for p in sys.argv[1:3])
+    commands = _commands(old)
+    differ = 0
+    for argv in commands:
+        a, b = _run(old, argv), _run(new, argv)
+        if a != b:
+            differ += 1
+            fields = [f for f, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
+            print(f"DIFFER ({', '.join(fields)}): {' '.join(argv)}")
+    print(f"{len(commands)} commands, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

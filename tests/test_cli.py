@@ -397,3 +397,14 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from matula import *", namespace)
     assert set(matula.__all__) <= set(namespace)
+
+
+def test_outputs_match_the_recorded_digests(monkeypatch):
+    # Both evaluation paths, every statistic: `table` output (dense) and
+    # per-n `compute` on a cold engine (sparse); see record_output_digests.py.
+    from record_output_digests import dense_digests, sparse_digests
+
+    monkeypatch.setattr(stats, "_default_engine", None)
+    want = json.loads((FIXTURES / "output_digests.json").read_text())
+    assert dense_digests() == want["dense"]
+    assert sparse_digests() == want["sparse"]

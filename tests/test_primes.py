@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from matula.errors import CapacityExceeded, InvalidInput, NotPrime
 from matula.primes import (
+    _SEGMENT,
     PrimeSieve,
     factorize,
     nth_prime,
@@ -110,8 +111,27 @@ def test_smallest_prime_factors_of_a_range():
         for n in range(lo, hi + 1):
             fz = factorize(n)
             want.append(fz.factors[0][0] if fz.omega > 1 else 0)
-        assert smallest_prime_factors(lo, hi) == want
-    assert smallest_prime_factors(5, 3) == []
+        assert list(smallest_prime_factors(lo, hi)) == want
+    assert list(smallest_prime_factors(5, 3)) == []
+
+
+def _plain_spf(hi):
+    """Smallest prime factor of each n <= hi at spf[n], 0 at primes, 0 and 1."""
+    spf = [0] * (hi + 1)
+    for p in range(2, math.isqrt(hi) + 1):
+        if not spf[p]:
+            for m in range(p * p, hi + 1, p):
+                if not spf[m]:
+                    spf[m] = p
+    return spf
+
+
+def test_smallest_prime_factors_across_segment_boundaries():
+    width = 2 * _SEGMENT  # integers per segment
+    windows = [(width - 7, 3 * width + 9), (width - 8, 3 * width + 10)]
+    want = _plain_spf(max(hi for _, hi in windows))
+    for lo, hi in windows:
+        assert list(smallest_prime_factors(lo, hi)) == want[lo : hi + 1], (lo, hi)
 
 
 def test_fresh_sieve_grows_lazily():
@@ -277,3 +297,13 @@ def test_sieving_to_twenty_million_stays_compact():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_range_sieve_memory_stays_one_segment():
+    tracemalloc.start()
+    try:
+        assert sum(1 for r in smallest_prime_factors(1, 4 * 10**6) if not r) == 283147
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6

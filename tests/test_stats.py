@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matula import primes
 from matula.errors import (
     CapacityExceeded,
     InternalIntegrityError,
@@ -402,6 +403,17 @@ def test_fill_gives_the_per_n_values(lo, hi):
         if lo == 1:  # neither fill nor the computes after it factorized
             assert not sieve._factor_cache, name
         assert got == _line_values(StatsEngine(), name, kw, lo, hi), (name, kw)
+
+
+def test_fill_across_segment_boundaries(monkeypatch):
+    # Segments of 128 integers: the range sieve's segments start at
+    # 1001 + 128 j, so the window crosses eight boundaries.
+    per_n = StatsEngine(PrimeSieve())
+    want = {n: per_n.compute(S.V, n) for n in range(1001, 2101)}
+    monkeypatch.setattr(primes, "_SEGMENT", 64)
+    filled = StatsEngine(PrimeSieve(initial_bound=4000))
+    filled.fill(S.V, 1001, 2100)
+    assert {n: filled._memo["V", None][n] for n in want} == want
 
 
 def test_fill_on_a_warm_engine():

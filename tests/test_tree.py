@@ -36,6 +36,20 @@ def test_decode_worked_example():
     assert [c.matula for c in t.children] == [2, 2, 7, 7, 32277]
 
 
+def test_decode_never_rebuilds_n_from_nth_prime(monkeypatch):
+    def refuse(self, m):
+        raise AssertionError(f"nth_prime({m}) called")
+
+    tree.clear_decode_cache()
+    monkeypatch.setattr(PrimeSieve, "nth_prime", refuse)
+    try:
+        t = decode(987654321)
+        want = "((())(())((()()))((()()))((())(()())(()((())))(()()()())))"
+        assert (t.matula, to_canonical_string(t)) == (987654321, want)
+    finally:
+        tree.clear_decode_cache()
+
+
 def test_encode_base_cases():
     assert encode(RootedTree()) == 1
     assert encode(RootedTree([RootedTree()])) == 2
