@@ -114,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hi", type=_int_at_least(1))
     p.add_argument("--bfile", action="store_true", help="integer-only b-file output")
     p.add_argument("--alpha", type=_alpha, default=None)
+    p.add_argument("--k", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("verify", help="check computed values against an OEIS b-file")
     p.add_argument("name", type=_stat_name)
@@ -157,7 +158,7 @@ def _cmd_table(args) -> int:
     engine = stats.default_engine()
     engine.fill(args.name, args.lo, args.hi, alpha=args.alpha)
     for n in range(args.lo, args.hi + 1):
-        value = engine.compute(args.name, n, alpha=args.alpha)
+        value = engine.compute(args.name, n, alpha=args.alpha, k=args.k)
         if args.bfile and not isinstance(value, int):
             raise MatulaError(
                 f"--bfile needs an integer-valued statistic, {args.name.value} gave {value!r}"

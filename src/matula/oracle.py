@@ -11,11 +11,11 @@ n <= 5000; a tree with more is counted by the product over children.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Any, Callable
 
 from . import primes, stats
@@ -45,7 +45,9 @@ class TreeAnalysis:
     """Per-vertex data plus the all-pairs distance matrix.
 
     Vertices are indexed in canonical preorder (root = 0).  ``pair_dists``
-    lists dist[i][j] for i < j, row by row.
+    lists dist[i][j] for i < j, row by row.  The facts that several
+    definitions read (``_degrees``, ``_edge_degree_pairs`` and
+    ``_distance_counts``) are computed once, on first use.
     """
 
     def __init__(
@@ -67,12 +69,24 @@ class TreeAnalysis:
         return len(self.vertices)
 
     def degrees(self) -> list[int]:
-        return [v.degree for v in self.vertices]
+        return list(self._degrees)
 
     def edge_degree_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (self.vertices[a].degree, self.vertices[b].degree) for a, b in self.edges
-        ]
+        return list(self._edge_degree_pairs)
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        return tuple(v.degree for v in self.vertices)
+
+    @cached_property
+    def _edge_degree_pairs(self) -> tuple[tuple[int, int], ...]:
+        degrees = self._degrees
+        return tuple((degrees[a], degrees[b]) for a, b in self.edges)
+
+    @cached_property
+    def _distance_counts(self) -> Counter:
+        """The number of vertex pairs at each distance d >= 1."""
+        return Counter(self.pair_dists)
 
     @cached_property
     def subtree_counts(self) -> tuple[int, int]:
@@ -212,10 +226,8 @@ def _subtrees_by_dp(an: TreeAnalysis) -> tuple[int, int]:
 # -- definitional statistic values ----------------------------------------
 
 
-def _counting_poly(values) -> IntPolynomial:
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
+def _poly_of_counts(counts: Counter) -> IntPolynomial:
+    """The polynomial with coefficient counts[e] at each exponent e."""
     if not counts:
         return IntPolynomial()
     coeffs = [0] * (max(counts) + 1)
@@ -228,11 +240,19 @@ def _count_of_max(values: list[int]) -> int:
     return values.count(max(values))
 
 
+def _inverse_power_sum(bases, m: int) -> Fraction:
+    """The sum of 1 / b**m, as one fraction over the lcm of the b**m."""
+    powers = [b**m for b in bases]
+    den = lcm(*powers)
+    return Fraction(sum(den // p for p in powers), den)
+
+
 S = StatName
 
 # One definition per statistic, from the explicit tree.  Each takes
-# (analysis, parameter); the parameter is the power function b -> b**alpha
-# for A_ALPHA and R_ALPHA, k for POLARITY and LEVEL_COUNT, None otherwise.
+# (analysis, parameter); the parameter is the function bases -> sum of
+# b**alpha for A_ALPHA and R_ALPHA, k for POLARITY and LEVEL_COUNT, None
+# otherwise.  The statistics of pair distances read their counts.
 # fmt: off
 _DEFINITIONS: dict[StatName, Callable[[TreeAnalysis, Any], Any]] = {
     S.V: lambda an, _: an.vertex_count,
@@ -241,37 +261,40 @@ _DEFINITIONS: dict[StatName, Callable[[TreeAnalysis, Any], Any]] = {
     # the single vertex has no leaf: LLL(1) = 0 by convention
     S.LLL: lambda an, _: min((v.level for v in an.vertices if v.is_leaf), default=0),
     S.LV: lambda an, _: sum(v.is_leaf for v in an.vertices),
-    S.MD: lambda an, _: max(an.degrees()),
-    S.DM: lambda an, _: max(an.pair_dists, default=0),
+    S.MD: lambda an, _: max(an._degrees),
+    S.DM: lambda an, _: max(an._distance_counts, default=0),
     S.PL: lambda an, _: sum(v.level for v in an.vertices),
     S.EPL: lambda an, _: sum(v.level for v in an.vertices if v.is_leaf),
-    S.BV: lambda an, _: sum(d >= 3 for d in an.degrees()),
-    S.PV: lambda an, _: sum(d == 1 for d in an.degrees()),
+    S.BV: lambda an, _: sum(d >= 3 for d in an._degrees),
+    S.PV: lambda an, _: sum(d == 1 for d in an._degrees),
     S.SP: lambda an, _: sum(comb(len(kids), 2) for kids in an.children),
     S.VL: lambda an, _: an.vertex_count + sum(v.level for v in an.vertices),
     S.RST: lambda an, _: an.subtree_counts[1],
     S.ST: lambda an, _: an.subtree_counts[0],
-    S.W: lambda an, _: sum(an.pair_dists),
+    S.W: lambda an, _: sum(d * c for d, c in an._distance_counts.items()),
     S.TW: lambda an, _: sum(an.dist[a][b] for a, b in combinations(
-        [i for i, d in enumerate(an.degrees()) if d == 1], 2)),
-    S.Z1: lambda an, _: sum(d * d for d in an.degrees()),
-    S.Z2: lambda an, _: sum(da * db for da, db in an.edge_degree_pairs()),
-    S.NK: lambda an, _: prod(an.degrees()),
-    S.MZ1: lambda an, _: prod(d * d for d in an.degrees()),
+        [i for i, d in enumerate(an._degrees) if d == 1], 2)),
+    S.Z1: lambda an, _: sum(d * d for d in an._degrees),
+    S.Z2: lambda an, _: sum(da * db for da, db in an._edge_degree_pairs),
+    S.NK: lambda an, _: prod(an._degrees),
+    S.MZ1: lambda an, _: prod(d * d for d in an._degrees),
     # MZ2(1) = 0 matches the bijection side's base convention
-    S.MZ2: lambda an, _: prod(d**d for d in an.degrees()) if an.vertex_count > 1 else 0,
-    S.A_ALPHA: lambda an, p: sum(p(v.degree) for v in an.vertices if v.level == 1),
-    S.R_ALPHA: lambda an, p: sum(p(da * db) for da, db in an.edge_degree_pairs()),
-    S.PWP: lambda an, _: _counting_poly(
-        v.level for v in an.vertices if v.parent is not None),
-    S.WP: lambda an, _: _counting_poly(an.pair_dists),
-    S.DSP: lambda an, _: _counting_poly(an.degrees()),
-    S.EDP: lambda an, _: _counting_poly(v.exit_distance for v in an.vertices),
-    S.HYPER_W: lambda an, _: sum(d * (d + 1) // 2 for d in an.pair_dists),
-    S.MULT_W: lambda an, _: prod(an.pair_dists),
-    S.POLARITY: lambda an, k: an.pair_dists.count(k),
-    S.SUM_EVEN: lambda an, _: sum(d for d in an.pair_dists if d % 2 == 0),
-    S.SUM_ODD: lambda an, _: sum(d for d in an.pair_dists if d % 2 == 1),
+    S.MZ2: lambda an, _: prod(d**d for d in an._degrees) if an.vertex_count > 1 else 0,
+    S.A_ALPHA: lambda an, total: total(v.degree for v in an.vertices if v.level == 1),
+    S.R_ALPHA: lambda an, total: total(da * db for da, db in an._edge_degree_pairs),
+    S.PWP: lambda an, _: _poly_of_counts(Counter(
+        v.level for v in an.vertices if v.parent is not None)),
+    S.WP: lambda an, _: _poly_of_counts(an._distance_counts),
+    S.DSP: lambda an, _: _poly_of_counts(Counter(an._degrees)),
+    S.EDP: lambda an, _: _poly_of_counts(Counter(v.exit_distance for v in an.vertices)),
+    S.HYPER_W: lambda an, _: sum(
+        c * (d * (d + 1) // 2) for d, c in an._distance_counts.items()),
+    S.MULT_W: lambda an, _: prod(d**c for d, c in an._distance_counts.items()),
+    S.POLARITY: lambda an, k: an._distance_counts.get(k, 0),
+    S.SUM_EVEN: lambda an, _: sum(
+        d * c for d, c in an._distance_counts.items() if d % 2 == 0),
+    S.SUM_ODD: lambda an, _: sum(
+        d * c for d, c in an._distance_counts.items() if d % 2 == 1),
     S.EXIT_SUM: lambda an, _: sum(v.exit_distance for v in an.vertices),
     S.EXIT_MAX: lambda an, _: max(v.exit_distance for v in an.vertices),
     S.EXIT_MAX_COUNT: lambda an, _: _count_of_max([v.exit_distance for v in an.vertices]),
@@ -289,21 +312,22 @@ def oracle_value(an: TreeAnalysis, name: StatName, alpha=None, k: int | None = N
     not take are rejected, with the engine's messages.
     """
     stat = stats._statistic(name)
+    define = _DEFINITIONS[name]
+    if stat.param is None and alpha is None and k is None:
+        return define(an, None)
     if alpha is not None and stat.param != "alpha":
         raise InvalidInput(f"{name.value} takes no alpha parameter")
     if k is not None and stat.param != "k":
         raise InvalidInput(f"{name.value} takes no k parameter")
-    define = _DEFINITIONS[name]
-    if stat.param is None:
-        return define(an, None)
     if stat.param == "alpha":
         if alpha is None:
             raise InvalidInput(f"{name.value} requires alpha")
         exact, a = stats._alpha_mode(alpha)
-        if exact:
-            power = (lambda b: b**a) if a >= 0 else (lambda b: Fraction(b) ** a)
-            return stats._simplify(define(an, power))
-        return float(define(an, lambda b: float(b) ** a))
+        if not exact:
+            return float(define(an, lambda bases: sum(float(b) ** a for b in bases)))
+        if a >= 0:
+            return define(an, lambda bases: sum(b**a for b in bases))
+        return stats._simplify(define(an, lambda bases: _inverse_power_sum(bases, -a)))
     k = stat.default if k is None else k
     if k is None:
         raise InvalidInput(f"{name.value} requires k")
@@ -318,6 +342,16 @@ def oracle_stat(name: StatName, t: RootedTree, alpha=None, k: int | None = None)
 
 _FLOAT_ALPHA = -0.5
 _EXACT_ALPHAS = (1, 2, -1)
+_ALPHAS = (*_EXACT_ALPHAS, _FLOAT_ALPHA)
+# The (statistic, alpha) memos that compare_all reads, warmed in one walk:
+# every recursive statistic, at each alpha checked.  A derived statistic
+# reads the memo of its source, which is recursive.
+_WARM_CASES = tuple(
+    (stat.name, a)
+    for stat in STATISTICS.values()
+    if stat.derive is None
+    for a in (_ALPHAS if stat.param == "alpha" else (None,))
+)
 
 
 def _float_close(a: float, b: float, rel: float = 1e-9) -> bool:
@@ -339,10 +373,11 @@ def compare_all(
     if an is None:
         an = analyze(decode(n))
     height = max(v.level for v in an.vertices)
+    engine._warm(_WARM_CASES, n)
     problems: list[str] = []
     for name, stat in STATISTICS.items():
         if stat.param == "alpha":
-            cases = [{"alpha": a} for a in (*_EXACT_ALPHAS, _FLOAT_ALPHA)]
+            cases = [{"alpha": a} for a in _ALPHAS]
         elif stat.param == "k" and stat.default is None:
             cases = [{"k": k} for k in range(height + 2)]
         else:

@@ -8,13 +8,15 @@ the oracle and one row in the README table.
 The engine memoizes one dict per (statistic, alpha), keyed by n.  Every
 child of n is smaller than n (t = pi(p) < p, and r, n/r < n for the
 composite split), so one stepping loop, ``_run``, fills the memos of a
-statistic's plan in ascending n from each n's children.  Two feeders
-give it those: the sparse one (``compute``) collects the part of n's DAG
-that is not yet memoized with an explicit stack, so stack depth does not
-grow with n; the dense one (``fill``) walks a whole range with a
-segmented smallest-prime-factor sieve and a running prime count.  The
-composite split is always r = smallest prime factor, which keeps r prime
-(required by the BV and TW rules) and makes the recursion shape canonical.
+plan in ascending n from each n's children.  A plan covers one statistic
+and what it reads, or several statistics at once, each memo once.  Two
+feeders give it those children: the sparse one (``compute``) collects
+the part of n's DAG that is not yet memoized with an explicit stack, so
+stack depth does not grow with n; the dense one (``fill``) walks a whole
+range with a segmented smallest-prime-factor sieve and a running prime
+count.  The composite split is always r = smallest prime factor, which
+keeps r prime (required by the BV and TW rules) and makes the recursion
+shape canonical.
 
 Every value is computed in exact integers where it is one: the
 multiplicative statistics (NK, MZ1, MZ2) multiply first and then divide
@@ -27,6 +29,7 @@ the degree multiset read off DSP.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import threading
 from fractions import Fraction
@@ -294,6 +297,8 @@ _NO_MEMO: Any = MappingProxyType({})
 
 def _statistic(name: StatName) -> Statistic:
     """name's record; a name that is not a ``StatName`` is ``UnsupportedName``."""
+    if type(name) is StatName:
+        return _BY_NAME[name._value_]  # a str key: no Enum.__hash__ call
     try:
         return STATISTICS[name]
     except KeyError:
@@ -333,15 +338,15 @@ def _not_integral(stat: Statistic, n: int, exc: _NotIntegral) -> InternalIntegri
     return InternalIntegrityError(f"{stat.name}({n}) came out non-integral: {exc}")
 
 
-def _run(plan: list, steps: Iterable[tuple[int, tuple[int, ...]]]) -> None:
-    """Memoize each m of steps in every memo of plan that lacks it.
+def _run(entries: list, steps: Iterable[tuple[int, tuple[int, ...]]]) -> None:
+    """Memoize each m of steps in every memo of a plan's entries that lacks it.
 
     steps are (m, kids) in ascending m, and kids are (t,) when m = p_t is
     prime, (r, m // r) when m is composite and () at m = 1; every kid is
     memoized before m's step.  This is the only code that fills a memo.
     """
     for m, kids in steps:
-        for dep, a, memo, tables in plan:
+        for dep, a, memo, tables in entries:
             if m not in memo:
                 v = dep.base.get(m)
                 if v is None:
@@ -360,6 +365,7 @@ def _run(plan: list, steps: Iterable[tuple[int, tuple[int, ...]]]) -> None:
 _POWER_BITS = 1 << 17
 
 
+@functools.lru_cache(maxsize=4096)  # the rules ask for few distinct powers
 def _pow(base: int, alpha):
     if isinstance(alpha, int):
         if base > 1 and abs(alpha) * base.bit_length() > _POWER_BITS:
@@ -376,6 +382,11 @@ def _pow(base: int, alpha):
         ) from None
 
 
+# The alpha types whose normal form an engine caches: a bool, equal to 0 or
+# 1 as a key, must still be refused.
+_NUMBER_TYPES = (int, Fraction, float)
+
+
 class StatsEngine:
     """Memoized evaluator for all statistics.
 
@@ -387,7 +398,9 @@ class StatsEngine:
     def __init__(self, sieve: PrimeSieve | None = None):
         self._sieve = sieve if sieve is not None else primes.default_sieve()
         self._memo: dict[tuple[str, Any], dict[int, Any]] = {}
-        self._plans: dict[tuple[str, Any], tuple[list, list]] = {}
+        self._plans: dict[tuple, tuple[list, list]] = {}
+        self._alphas: dict[Any, Any] = {}  # alpha -> _alpha_mode(alpha)[1]
+        self._dsp = self._plan(("DSP", None))  # read by _check_degrees
 
     # -- internals ----------------------------------------------------
 
@@ -395,20 +408,25 @@ class StatsEngine:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InvalidInput(f"n must be a positive integer, got {n!r}")
 
-    def _plan(self, stat: Statistic, alpha) -> tuple[list, list]:
-        """Return (entries, memos) for what ``compute(stat)`` at alpha reads.
+    def _plan(self, *cases) -> tuple[list, list]:
+        """Return (entries, memos) for what ``compute`` reads at every case.
 
-        entries are (record, alpha, memo, read tables) for stat, or for a
-        derived statistic its source, first; then for DSP when stat is
-        multiplicative, and for every statistic these read.  memos are
-        their memos in that order.
+        cases are (statistic name, normalized alpha) pairs.  entries are
+        (record, alpha, memo, read tables): for each case the statistic's,
+        or a derived statistic's source's, and DSP's when it is
+        multiplicative; then those of every statistic these read, one entry
+        per memo.  memos are their memos in that order.
         """
-        key = (stat.name, alpha)
-        if key not in self._plans:
-            keys = [(stat.reads[0], None)] if stat.derive else [key]
-            if stat.degree_power is not None:  # for the check against DSP
-                keys.append(("DSP", None))
-            plan = []
+        plan = self._plans.get(cases)
+        if plan is None:
+            keys = []
+            for name, alpha in cases:
+                stat = _BY_NAME[name]
+                keys.append((stat.reads[0], None) if stat.derive else (name, alpha))
+                if stat.degree_power is not None:  # for the check against DSP
+                    keys.append(("DSP", None))
+            keys = list(dict.fromkeys(keys))
+            entries = []
             for name, a in keys:  # keys grows as new reads turn up
                 tables = []
                 for read in _BY_NAME[name].reads:
@@ -425,19 +443,22 @@ class StatsEngine:
                         keys.append(read_key)
                     tables.append(self._memo.setdefault(read_key, {}))
                 memo = self._memo.setdefault((name, a), {})
-                plan.append((_BY_NAME[name], a, memo, tables))
-            self._plans[key] = plan, [memo for _, _, memo, _ in plan]
-        return self._plans[key]
+                entries.append((_BY_NAME[name], a, memo, tables))
+            plan = self._plans[cases] = entries, [e[2] for e in entries]
+        return plan
 
-    def _eval(self, stat: Statistic, n: int, alpha=None):
-        """The first memo of stat's plan at n, filled by the sparse feeder.
+    def _eval(self, plan: tuple[list, list], n: int):
+        """Memoize n in every memo of plan and return the first: the sparse feeder.
 
         It collects the part of n's DAG that some memo lacks with an
         explicit stack, factorizing and indexing each m, and runs it in
         ascending m; stack depth does not grow with n.
         """
-        plan, memos = self._plans.get((stat.name, alpha)) or self._plan(stat, alpha)
-        if n in memos[0]:
+        entries, memos = plan
+        for memo in memos:
+            if n not in memo:
+                break
+        else:
             return memos[0][n]
         children: dict[int, tuple[int, ...]] = {}
         stack = [n]
@@ -459,10 +480,19 @@ class StatsEngine:
                     if kid not in memo:
                         stack.append(kid)
                         break
-        _run(plan, sorted(children.items()))
+        _run(entries, sorted(children.items()))
         return memos[0][n]
 
-    def _dense(self, stat: Statistic, alpha, lo: int, hi: int):
+    def _warm(self, cases: tuple, n: int) -> None:
+        """Memoize every case at n in one walk of n's DAG.
+
+        cases are (statistic name, normalized alpha) pairs, so that
+        ``compute`` and ``composite_value`` at n find their values memoized.
+        """
+        self._check_n(n)
+        self._eval(self._plan(*cases), n)
+
+    def _dense(self, plan: tuple[list, list], lo: int, hi: int):
         """Yield (n, kids) for lo <= n <= hi, ascending: the dense feeder.
 
         Composites split at their smallest prime factor, read from a range
@@ -481,7 +511,7 @@ class StatsEngine:
                 kids = (index,)
             for kid in kids:
                 if kid < lo:
-                    self._eval(stat, kid, alpha)
+                    self._eval(plan, kid)
             yield n, kids
 
     def _check_degrees(self, stat: Statistic, n: int, v: int) -> int:
@@ -491,7 +521,7 @@ class StatsEngine:
         """
         if n < 2:
             return v
-        dsp = self._eval(_BY_NAME["DSP"], n)
+        dsp = self._eval(self._dsp, n)
         power = stat.degree_power
         check = math.prod(
             deg ** (power(deg) * count) for deg, count in enumerate(dsp.coeffs) if count
@@ -502,24 +532,29 @@ class StatsEngine:
             )
         return v
 
-    def _resolve(self, name: StatName, n: int, alpha, k) -> tuple[Statistic, Any]:
-        """Return name's record and alpha, normalized and defaulted, for a call at n.
+    def _resolve(self, stat: Statistic, n: int, alpha, k):
+        """Return alpha, normalized and defaulted, for a call of stat at n.
 
         Rejects an alpha or a k that the statistic does not take and an n
         that is not a positive integer; a derived statistic has n checked
         before k.
         """
-        stat = _statistic(name)
         if alpha is not None and stat.param != "alpha":
-            raise InvalidInput(f"{name.value} takes no alpha parameter")
+            raise InvalidInput(f"{stat.name} takes no alpha parameter")
         if k is not None and stat.derive is None:
-            raise InvalidInput(f"{name.value} takes no k parameter")
+            raise InvalidInput(f"{stat.name} takes no k parameter")
         self._check_n(n)
         if k is not None and stat.param != "k":
-            raise InvalidInput(f"{name.value} takes no k parameter")
-        if stat.param == "alpha":
-            alpha = _alpha_mode(stat.default if alpha is None else alpha)[1]
-        return stat, alpha
+            raise InvalidInput(f"{stat.name} takes no k parameter")
+        if stat.param != "alpha":
+            return alpha
+        alpha = stat.default if alpha is None else alpha
+        if type(alpha) not in _NUMBER_TYPES:
+            return _alpha_mode(alpha)[1]
+        a = self._alphas.get(alpha)
+        if a is None:
+            a = self._alphas[alpha] = _alpha_mode(alpha)[1]
+        return a
 
     # -- public operations ---------------------------------------------
 
@@ -527,25 +562,41 @@ class StatsEngine:
         self, name: StatName, n: int, alpha=None, k: int | None = None
     ) -> StatValue:
         """The value of any statistic at n, at the alpha or k it takes."""
-        try:
-            stat = _BY_NAME[name._value_]  # a str key: no Enum.__hash__ call
-        except AttributeError:
-            stat = _statistic(name)
+        # _statistic(name), inlined on the path of every memo hit
+        stat = _BY_NAME[name._value_] if type(name) is StatName else _statistic(name)
         v = None
-        if stat.param is None and alpha is None and k is None and type(n) is int and n > 0:
-            # No check in _resolve can fail here, so a memoized value costs
-            # one lookup in the live memo.  Derived statistics have no memo.
-            v = self._memo.get((stat.name, None), _NO_MEMO).get(n)
+        if type(n) is int and n > 0:
+            # Where no check in _resolve can fail, a memoized value costs a
+            # lookup in the live memo: at alpha's cached normal form, or for
+            # a derived statistic in its source's memo.
+            param = stat.param
+            if param is None and alpha is None and k is None:
+                v = self._memo.get((stat.name, None), _NO_MEMO).get(n)
+                if v is None and stat.derive is not None:  # it has no memo
+                    g = self._memo.get((stat.reads[0], None), _NO_MEMO).get(n)
+                    if g is not None:
+                        return stat.derive(g, None)
+            elif param == "alpha" and k is None:
+                raw = stat.default if alpha is None else alpha
+                a = self._alphas.get(raw) if type(raw) in _NUMBER_TYPES else None
+                if a is not None:
+                    v = self._memo.get((stat.name, a), _NO_MEMO).get(n)
+            elif param == "k" and alpha is None:
+                k_ = stat.default if k is None else k
+                if type(k_) is int and k_ >= 0:
+                    g = self._memo.get((stat.reads[0], None), _NO_MEMO).get(n)
+                    if g is not None:
+                        return stat.derive(g, k_)
         if v is None:
-            stat, alpha = self._resolve(name, n, alpha, k)
+            alpha = self._resolve(stat, n, alpha, k)
             if stat.derive is not None:
                 k = stat.default if k is None else k
                 if stat.param == "k" and k is None:
-                    raise InvalidInput(f"{name.value} requires k")
+                    raise InvalidInput(f"{stat.name} requires k")
                 if k is not None and k < 0:
                     raise InvalidInput(f"k must be >= 0, got {k}")
-                return stat.derive(self._eval(stat, n), k)
-            v = self._eval(stat, n, alpha)
+                return stat.derive(self._eval(self._plan((stat.name, None)), n), k)
+            v = self._eval(self._plan((stat.name, alpha)), n)
         if stat.degree_power is not None:
             return self._check_degrees(stat, n, v)
         return v
@@ -558,10 +609,11 @@ class StatsEngine:
         call at the first prime >= lo when lo > 2.  It stops at the sieve's
         ceiling; ``compute`` meets any n past it on its own.
         """
-        stat, alpha = self._resolve(name, lo, alpha, None)
+        stat = _statistic(name)
+        alpha = self._resolve(stat, lo, alpha, None)
         self._check_n(hi)
-        plan = self._plan(stat, alpha)[0]
-        _run(plan, self._dense(stat, alpha, lo, min(hi, self._sieve.ceiling)))
+        plan = self._plan((stat.name, alpha))
+        _run(plan[0], self._dense(plan, lo, min(hi, self._sieve.ceiling)))
 
     def composite_value(self, name: StatName, r: int, s: int, alpha=None) -> StatValue:
         """Evaluate a statistic's composite-case rule at the split n = r*s.
@@ -571,21 +623,22 @@ class StatsEngine:
         """
         if r < 2 or s < 2:
             raise InvalidInput("both parts of a split must be >= 2")
-        if alpha is None and _statistic(name).param == "alpha":
-            raise InvalidInput(f"{name.value} requires alpha")
-        stat, a = self._resolve(name, r * s, alpha, None)
+        stat = _statistic(name)
+        if alpha is None and stat.param == "alpha":
+            raise InvalidInput(f"{stat.name} requires alpha")
+        a = self._resolve(stat, r * s, alpha, None)
         if stat.composite is None:
-            raise InvalidInput(f"{name.value} has no composite-case rule")
+            raise InvalidInput(f"{stat.name} has no composite-case rule")
         if stat.prime_split and self._sieve.factorize(r).omega != 1:
-            raise InvalidInput(f"the {name.value} composite rule requires a prime r")
-        self._eval(stat, r, a)
-        self._eval(stat, s, a)
-        entries, _ = self._plan(stat, a)
+            raise InvalidInput(f"the {stat.name} composite rule requires a prime r")
+        plan = self._plan((stat.name, a))
+        self._eval(plan, r)
+        self._eval(plan, s)
         try:
-            value = stat.composite(r, s, *entries[0][3])
+            value = stat.composite(r, s, *plan[0][0][3])
         except _NotIntegral as exc:
             raise _not_integral(stat, r * s, exc) from None
-        return _finish(value, a)
+        return value if a is None else _finish(value, a)
 
 
 def _alpha_mode(alpha) -> tuple[bool, Any]:

@@ -9,9 +9,12 @@ Prints one line per difference and exits 1 if there is any, else 0.
 
 - ``table S 1 5000`` for every statistic, and A_ALPHA and R_ALPHA also
   at alpha 0, 1, 2, -1 and -1/2;
-- ``selftest --max-n 300 --seed 0..2``;
+- ``selftest --max-n 300 --seed 0..2`` and ``selftest --max-n 2000``;
 - ``decode 987654321`` in each format, ``encode "(()(()))"``;
-- ``stat NK 987654321`` and ``stat HYPER_W 987654321``.
+- ``stat NK 987654321`` and ``stat HYPER_W 987654321``;
+- an oracle dump: the type and ``repr`` of ``oracle_value`` for every
+  statistic over n <= 1200, alpha statistics at alpha 0, +-1, +-2, +-1/2
+  (as floats and as Fractions) and k statistics at k = 0 .. height + 1.
 """
 
 import os
@@ -20,6 +23,27 @@ import sys
 from pathlib import Path
 
 RECORDER = Path(__file__).resolve().parent / "record_output_digests.py"
+
+ORACLE_DUMP = """
+from fractions import Fraction
+from matula.oracle import analyze, oracle_value
+from matula.stats import STATISTICS
+from matula.tree import decode
+alphas = (0, 1, -1, 2, -2, 0.5, -0.5, Fraction(1, 2), Fraction(-1, 2))
+for n in range(1, 1201):
+    an = analyze(decode(n))
+    height = max(v.level for v in an.vertices)
+    for name, stat in STATISTICS.items():
+        if stat.param == "alpha":
+            cases = [{"alpha": a} for a in alphas]
+        elif stat.param == "k":
+            cases = [{"k": k} for k in range(height + 2)]
+        else:
+            cases = [{}]
+        for kw in cases:
+            v = oracle_value(an, name, **kw)
+            print(n, name.value, kw, type(v).__name__, repr(v))
+"""
 
 
 def _run(tree: Path, argv: list[str]) -> tuple:
@@ -41,10 +65,11 @@ def _commands(tree: Path) -> list[list[str]]:
             for alpha in ("0", "1", "2", "-1", "-1/2"):
                 commands.append(["table", name, "1", "5000", f"--alpha={alpha}"])
     commands += [["selftest", "--max-n", "300", "--seed", str(s)] for s in range(3)]
+    commands.append(["selftest", "--max-n", "2000"])
     commands += [["decode", "987654321", "--format", f] for f in ("paren", "json", "dot")]
     commands += [["encode", "(()(()))"], ["stat", "NK", "987654321"],
                  ["stat", "HYPER_W", "987654321"]]
-    return [["-m", "matula", *c] for c in commands] + [[str(RECORDER)]]
+    return [["-m", "matula", *c] for c in commands] + [[str(RECORDER)], ["-c", ORACLE_DUMP]]
 
 
 def main() -> int:

@@ -185,6 +185,21 @@ def test_table_bfile_rejects_polynomials(capsys):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("name", [StatName.LEVEL_COUNT, StatName.POLARITY])
+def test_table_k_matches_per_n_compute(capsys, monkeypatch, name):
+    monkeypatch.setattr(stats, "_default_engine", None)  # a fresh engine
+    got = run(capsys, "table", name.value, "1", "300", "--k", "2")
+    engine = StatsEngine()
+    want = "".join(f"{n} {engine.compute(name, n, k=2)}\n" for n in range(1, 301))
+    assert got == (EXIT_OK, want, "")
+
+
+def test_table_k_on_a_statistic_without_k_fails_as_stat_does(capsys):
+    got = run(capsys, "table", "V", "1", "5", "--k", "1")
+    assert got == run(capsys, "stat", "V", "1", "--k", "1")
+    assert got == (1, "", "error: V takes no k parameter\n")
+
+
 def test_verify_fixture_vertknown(capsys):
     code, out, _ = run(capsys, "verify", "V", str(FIXTURES / "b061775_oracle.txt"))
     assert code == EXIT_OK
@@ -223,6 +238,7 @@ def test_verify_limit_zero_checks_nothing(capsys):
         ["table", "V", "0", "5"],
         ["table", "V", "1", "-2"],
         ["stat", "LEVEL_COUNT", "9", "--k", "-1"],
+        ["table", "LEVEL_COUNT", "1", "9", "--k", "-1"],
     ],
 )
 def test_count_options_out_of_range_are_usage_errors(capsys, argv):

@@ -288,7 +288,17 @@ def test_random_trees_round_trip_and_match_the_oracle(drawn, seed):
     assert encode(parse_canonical_string(canonical)) == n
     an = analyze(t)
     assert an.vertex_count == size
+    upper = [an.dist[i][j] for i in range(size) for j in range(i + 1, size)]
+    assert an._distance_counts == Counter(upper)
     engine = StatsEngine()
     assert compare_all(n, engine, an) == []
     if len(t.children) >= 2:  # n is composite
         assert random_split_check(n, seed, engine)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 60), max_size=30), st.sampled_from([-1, -2, -3]))
+def test_negative_alpha_sum_is_the_per_term_fraction_sum(bases, alpha):
+    assert oracle._inverse_power_sum(bases, -alpha) == sum(
+        Fraction(b) ** alpha for b in bases
+    )

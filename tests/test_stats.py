@@ -17,7 +17,7 @@ from matula.errors import (
     InvalidInput,
     UnsupportedName,
 )
-from matula.oracle import analyze, oracle_value
+from matula.oracle import analyze, compare_all, oracle_value
 from matula.poly import ZERO, IntPolynomial
 from matula.primes import PrimeSieve
 from matula.stats import (
@@ -269,6 +269,65 @@ def test_memo_hits_validate_like_cold_calls():
     assert warm.compute(S.V, Int(9)) == cold.compute(S.V, 9) == 5
     warm.compute(S.NK, 60)
     assert warm.compute(S.NK, Int(60)) == cold.compute(S.NK, 60)
+
+
+def _engine(warm: bool) -> StatsEngine:
+    """A new engine; a warm one has had compare_all's walk over n <= 60."""
+    engine = StatsEngine()
+    if warm:
+        for n in range(1, 61):
+            assert compare_all(n, engine) == []
+    return engine
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_every_spelling_of_an_alpha_gives_one_value_and_type(warm):
+    spellings = {1: (1, 1.0, Fraction(1), Fraction(2, 2)),
+                 -0.5: (-0.5, Fraction(-1, 2), Fraction(-2, 4))}
+    reference = StatsEngine()
+    for canonical, alphas in spellings.items():
+        for alpha in alphas:
+            engine = _engine(warm)  # a cold one meets this spelling first
+            for name in (S.A_ALPHA, S.R_ALPHA):
+                for n, r in ((12, 3), (60, 6)):
+                    want = (reference.compute(name, n, alpha=canonical),
+                            reference.composite_value(name, r, n // r, alpha=canonical))
+                    got = (engine.compute(name, n, alpha=alpha),
+                           engine.composite_value(name, r, n // r, alpha=alpha))
+                    assert got == want, alpha
+                    assert [type(v) for v in got] == [type(v) for v in want], alpha
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_bool_alpha_is_refused_cold_and_warm(warm):
+    engine = _engine(warm)
+    for name in (S.A_ALPHA, S.R_ALPHA):
+        for alpha in (True, False):
+            with pytest.raises(InvalidInput, match="^alpha must be a number$"):
+                engine.compute(name, 12, alpha=alpha)
+            with pytest.raises(InvalidInput, match="^alpha must be a number$"):
+                engine.composite_value(name, 3, 4, alpha=alpha)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_memo_hits_refuse_parameters_like_cold_calls(warm):
+    engine = _engine(warm)
+    cases = [
+        (S.V, {"alpha": 1}, "V takes no alpha parameter"),
+        (S.HYPER_W, {"alpha": 1}, "HYPER_W takes no alpha parameter"),
+        (S.POLARITY, {"alpha": 2}, "POLARITY takes no alpha parameter"),
+        (S.V, {"k": 1}, "V takes no k parameter"),
+        (S.R_ALPHA, {"k": 1}, "R_ALPHA takes no k parameter"),
+        (S.HYPER_W, {"k": 1}, "HYPER_W takes no k parameter"),
+        (S.POLARITY, {"k": -1}, "k must be >= 0, got -1"),
+        (S.LEVEL_COUNT, {"k": -1}, "k must be >= 0, got -1"),
+        (S.LEVEL_COUNT, {}, "LEVEL_COUNT requires k"),
+    ]
+    for name, kwargs, message in cases:
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            engine.compute(name, 12, **kwargs)
+    with pytest.raises(InvalidInput, match="^V takes no alpha parameter$"):
+        engine.composite_value(S.V, 3, 4, alpha=1)
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 2, 3])
