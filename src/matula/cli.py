@@ -7,6 +7,7 @@ Subcommands: decode, encode, stat, table, verify, selftest.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -18,6 +19,13 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
+
+# `table` hands stdout one string per batch of lines, so the number of
+# writes does not depend on whether stdout is buffered (`python -u`,
+# PYTHONUNBUFFERED makes each write a system call).  A batch ends at
+# whichever bound it reaches first.
+_BATCH_LINES = 512
+_BATCH_CHARS = 1 << 16
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -157,13 +165,25 @@ def _cmd_stat(args) -> int:
 def _cmd_table(args) -> int:
     engine = stats.default_engine()
     engine.fill(args.name, args.lo, args.hi, alpha=args.alpha)
-    for n in range(args.lo, args.hi + 1):
-        value = engine.compute(args.name, n, alpha=args.alpha, k=args.k)
-        if args.bfile and not isinstance(value, int):
-            raise MatulaError(
-                f"--bfile needs an integer-valued statistic, {args.name.value} gave {value!r}"
-            )
-        print(f"{n} {value}")
+    write = sys.stdout.write
+    batch: list[str] = []
+    size = 0
+    try:
+        for n in range(args.lo, args.hi + 1):
+            value = engine.compute(args.name, n, alpha=args.alpha, k=args.k)
+            if args.bfile and not isinstance(value, int):
+                raise MatulaError(
+                    f"--bfile needs an integer-valued statistic, {args.name.value} gave {value!r}"
+                )
+            line = f"{n} {value}\n"
+            batch.append(line)
+            size += len(line)
+            if len(batch) == _BATCH_LINES or size >= _BATCH_CHARS:
+                text, batch, size = "".join(batch), [], 0
+                write(text)
+    finally:  # the lines before an error are printed, as they were one by one
+        if batch:
+            write("".join(batch))
     return EXIT_OK
 
 
@@ -238,7 +258,16 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit:
         sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone: stop without a message.  Point fd 1
+        # at devnull so that flushing stdout at shutdown cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except (MatulaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

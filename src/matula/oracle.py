@@ -328,10 +328,7 @@ def oracle_value(an: TreeAnalysis, name: StatName, alpha=None, k: int | None = N
         if a >= 0:
             return define(an, lambda bases: sum(b**a for b in bases))
         return stats._simplify(define(an, lambda bases: _inverse_power_sum(bases, -a)))
-    k = stat.default if k is None else k
-    if k is None:
-        raise InvalidInput(f"{name.value} requires k")
-    return define(an, k)
+    return define(an, stats._k_value(stat, k))
 
 
 def oracle_stat(name: StatName, t: RootedTree, alpha=None, k: int | None = None):

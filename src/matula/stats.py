@@ -590,11 +590,8 @@ class StatsEngine:
         if v is None:
             alpha = self._resolve(stat, n, alpha, k)
             if stat.derive is not None:
-                k = stat.default if k is None else k
-                if stat.param == "k" and k is None:
-                    raise InvalidInput(f"{stat.name} requires k")
-                if k is not None and k < 0:
-                    raise InvalidInput(f"k must be >= 0, got {k}")
+                if stat.param == "k":
+                    k = _k_value(stat, k)
                 return stat.derive(self._eval(self._plan((stat.name, None)), n), k)
             v = self._eval(self._plan((stat.name, alpha)), n)
         if stat.degree_power is not None:
@@ -652,6 +649,18 @@ def _alpha_mode(alpha) -> tuple[bool, Any]:
     if isinstance(alpha, (Fraction, float)):
         return False, float(alpha)
     raise InvalidInput(f"alpha must be a number, got {alpha!r}")
+
+
+def _k_value(stat: Statistic, k) -> int:
+    """k, defaulted and checked, for a statistic that takes k."""
+    k = stat.default if k is None else k
+    if k is None:
+        raise InvalidInput(f"{stat.name} requires k")
+    if type(k) is not int:  # a bool is not a k either
+        raise InvalidInput(f"k must be an integer, got {k!r}")
+    if k < 0:
+        raise InvalidInput(f"k must be >= 0, got {k}")
+    return k
 
 
 _default_engine: StatsEngine | None = None

@@ -4,8 +4,12 @@ Usage: python3 tests/compare_outputs.py OLD_TREE NEW_TREE
 
 Runs each command below with ``python -m matula`` against each tree's
 ``src`` and compares stdout, stderr and exit code; it also runs
-record_output_digests.py (from this checkout) against each tree.
-Prints one line per difference and exits 1 if there is any, else 0.
+record_output_digests.py (from this checkout) against each tree.  Every
+command runs with PYTHONUNBUFFERED removed from its environment, so the
+caller's buffering mode does not leak in.  Each ``table`` command runs a
+second time per tree with PYTHONUNBUFFERED=1, and any byte difference
+from the buffered run of the same tree is reported too.  Prints one line
+per difference and exits 1 if there is any, else 0.
 
 - ``table S 1 5000`` for every statistic, and A_ALPHA and R_ALPHA also
   at alpha 0, 1, 2, -1 and -1/2;
@@ -46,8 +50,11 @@ for n in range(1, 1201):
 """
 
 
-def _run(tree: Path, argv: list[str]) -> tuple:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+def _run(tree: Path, argv: list[str], unbuffered: bool = False) -> tuple:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(tree / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.run(
         [sys.executable, *argv], env=env, cwd=tree, capture_output=True
     )
@@ -76,12 +83,20 @@ def main() -> int:
     old, new = (Path(p).resolve() for p in sys.argv[1:3])
     commands = _commands(old)
     differ = 0
-    for argv in commands:
-        a, b = _run(old, argv), _run(new, argv)
+
+    def report(label: str, argv: list[str], a: tuple, b: tuple) -> None:
+        nonlocal differ
         if a != b:
             differ += 1
             fields = [f for f, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
-            print(f"DIFFER ({', '.join(fields)}): {' '.join(argv)}")
+            print(f"DIFFER {label}({', '.join(fields)}): {' '.join(argv)}")
+
+    for argv in commands:
+        a, b = _run(old, argv), _run(new, argv)
+        report("", argv, a, b)
+        if argv[2:3] == ["table"]:
+            report("unbuffered OLD ", argv, a, _run(old, argv, unbuffered=True))
+            report("unbuffered NEW ", argv, b, _run(new, argv, unbuffered=True))
     print(f"{len(commands)} commands, {differ} differ")
     return 1 if differ else 0
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from matula import stats
+from matula import cli, stats
 from matula.cli import EXIT_MISMATCH, EXIT_OK, main, parse_bfile
 from matula.errors import MatulaError, ParseError
 from matula.oracle import analyze, oracle_value
@@ -194,6 +195,61 @@ def test_table_k_matches_per_n_compute(capsys, monkeypatch, name):
     assert got == (EXIT_OK, want, "")
 
 
+class _CountingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_table_writes_in_batches(monkeypatch):
+    monkeypatch.setattr(stats, "_default_engine", None)
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["table", "V", "1", "5000"]) == EXIT_OK
+    assert len(stdout.writes) <= -(-5000 // cli._BATCH_LINES) + 1
+    assert "".join(stdout.writes) == _per_n_table(StatName.V, 1, 5000)[1]
+
+
+def test_table_prints_the_lines_before_an_error(capsys, monkeypatch):
+    # A_ALPHA at alpha -1 is 0 at n = 1, 1 at n = 2 and 1/2 at n = 3.
+    argv = ["table", "A_ALPHA", "1", "10", "--bfile", "--alpha", "-1"]
+    error = "error: --bfile needs an integer-valued statistic, A_ALPHA gave Fraction(1, 2)\n"
+    monkeypatch.setattr(stats, "_default_engine", None)
+    assert run(capsys, *argv) == (1, "1 0\n2 1\n", error)
+    proc = _run_matula(argv, "-u")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "1 0\n2 1\n", error)
+
+
+@pytest.mark.parametrize("name", ["V", "WP"])
+def test_unbuffered_table_matches_the_recorded_digest(name):
+    proc = _run_matula(["table", name, "1", "3000"], "-u")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    want = json.loads((FIXTURES / "output_digests.json").read_text())["dense"][name]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_table_quietly(flags):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, *flags, "-m", "matula", "table", "V", "1", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stdout.readline() == b"1 1\n"
+    proc.stdout.close()  # as `| head -1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
 def test_table_k_on_a_statistic_without_k_fails_as_stat_does(capsys):
     got = run(capsys, "table", "V", "1", "5", "--k", "1")
     assert got == run(capsys, "stat", "V", "1", "--k", "1")
@@ -323,10 +379,10 @@ def test_parse_bfile_offsets_in_bytes():
     assert exc.value.offset == 9
 
 
-def _run_matula(argv):
+def _run_matula(argv, *flags):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(
-        [sys.executable, "-m", "matula", *argv],
+        [sys.executable, *flags, "-m", "matula", *argv],
         capture_output=True,
         text=True,
         env=env,

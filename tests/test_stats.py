@@ -330,6 +330,24 @@ def test_memo_hits_refuse_parameters_like_cold_calls(warm):
         engine.composite_value(S.V, 3, 4, alpha=1)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_engine_and_oracle_refuse_a_bad_k_alike(warm):
+    engine = _engine(warm)
+    an = analyze(decode(9))
+    cases = [
+        (2.0, "k must be an integer, got 2.0"),
+        ("2", "k must be an integer, got '2'"),
+        (True, "k must be an integer, got True"),
+        (-1, "k must be >= 0, got -1"),
+    ]
+    for name in (S.POLARITY, S.LEVEL_COUNT):
+        for k, message in cases:
+            with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+                engine.compute(name, 9, k=k)
+            with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+                oracle_value(an, name, k=k)
+
+
 @pytest.mark.parametrize("alpha", [0, 1, 2, 3])
 def test_integer_alpha_values_are_ints(alpha):
     engine = StatsEngine()
