@@ -1,14 +1,10 @@
 """Prime generation, prime indexing, and factorization.
 
-A lazily grown segmented sieve backs three queries: the m-th prime, the
-index (order) of a given prime, and factorization into sorted
-(prime, multiplicity) pairs.  The sieve keeps one byte per odd number
-plus a running prime count every ``_BLOCK`` odd numbers, so no Python
-int is made per prime.  ``smallest_prime_factors`` is a segmented range
-sieve over the same striking kernel, ``_strikes``, for passes over every
-n in a range; it keeps one segment, not the range.  Everything is exact and
-deterministic; requests that would need primes beyond the configured
-ceiling raise CapacityExceeded instead of grinding forever.
+A sieve built once answers below its bound; past it, pi(x) comes from the
+Lucy_Hedgehog method, the m-th prime from a window between Dusart's bounds,
+and factors from Miller–Rabin and Pollard–Brent rho.  Every sieve strikes
+with one kernel, ``_strikes``, a segment at a time.  Answers are exact and
+never depend on earlier queries; CapacityExceeded marks the ceiling.
 """
 
 from __future__ import annotations
@@ -16,96 +12,72 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, compress, count, islice, repeat
-from math import isqrt, log
+from itertools import accumulate, compress, count, islice
+from math import gcd, isqrt, log, prod
 from typing import Iterator, NamedTuple
 
 from .errors import CapacityExceeded, InvalidInput, NotPrime
 
-_SEGMENT = 1 << 18  # odd numbers struck per pass while the sieve grows
+_SEGMENT = 1 << 18  # odd numbers struck per pass of a segmented sieve
 _BLOCK = 512  # odd numbers per prime count; a query scans at most one block
+_TRIAL = 1 << 10  # factorize divides by the sieved primes below this
+# Miller–Rabin with these bases is proven below _MR_PROVEN (Sorenson–Webster 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
 
 
 class Factorization(NamedTuple):
-    """Prime factorization: ascending (prime, multiplicity) pairs.
-
-    ``omega`` is the number of prime factors counted with multiplicity.
-    """
+    """Ascending (prime, multiplicity) pairs; ``omega`` sums the multiplicities."""
 
     factors: tuple[tuple[int, int], ...]
     omega: int
 
 
 class PrimeSieve:
-    """Segmented Eratosthenes sieve over the odd numbers that grows on demand.
+    """Eratosthenes sieve over the odd numbers up to a fixed bound.
 
-    The state is one tuple ``(limit, odd, counts)``, replaced whole when the
-    sieve grows: ``odd[i]`` is 1 when 2i + 1 <= limit is prime, and
-    ``counts[j]`` is the number of ones in ``odd[:j * _BLOCK]``, the last
-    entry counting them all.  Growth is serialized by an internal lock and
-    never mutates a published state, so a concurrent reader sees the old
-    state or the new one.  ``ceiling`` caps how far the sieve may ever grow.
+    The state ``(limit, odd, counts, small)`` is built on first use and never
+    changes: ``odd[i]`` is 1 when 2i + 1 <= limit is prime, ``counts[j]`` is
+    the number of ones in ``odd[:j * _BLOCK]`` (the last entry counts them
+    all) and ``small`` lists the odd primes below min(limit, _TRIAL).
+    ``prime_index`` and ``nth_prime`` answer for primes up to ``ceiling``;
+    ``factorize(n)`` answers when n's prime factors above it multiply to
+    less than (ceiling + 1)**2.
     """
 
     def __init__(self, initial_bound: int = 10**6, ceiling: int = 10**9):
-        if initial_bound < 4:
-            initial_bound = 4
-        if ceiling < initial_bound:
+        self._initial = max(initial_bound, 4)
+        if ceiling < self._initial:
             raise InvalidInput("ceiling must be >= initial_bound")
-        self._initial = initial_bound
         self._ceiling = ceiling
-        self._state = (1, bytearray(1), array("L", (0, 0)))  # sieved through 1
+        self._state: tuple | None = None
         self._factor_cache: dict[int, Factorization] = {}
-        self._nth_cache: dict[int, int] = {}  # answered nth_prime calls
-        self._lock = threading.RLock()
+        self._nth_cache: dict[int, int] = {1: 2}  # answered nth_prime calls
+        self._pi_cache: dict[int, int] = {}  # pi(x) past the sieve
+        self._lock = threading.Lock()
 
     @property
     def ceiling(self) -> int:
         return self._ceiling
 
     @property
-    def _limit(self) -> int:
-        """Sieved through this value, inclusive."""
-        return self._state[0]
+    def _limit(self) -> int:  # sieved through this value, inclusive; 1 until first used
+        return 1 if self._state is None else self._state[0]
 
-    def _count(self) -> int:
-        """pi(limit): the number of primes sieved so far."""
-        limit, _, counts = self._state
-        return counts[-1] + (limit >= 2)
-
-    # -- growth -------------------------------------------------------
-
-    def _ensure(self, bound: int) -> None:
-        """Sieve at least through min(bound, ceiling)."""
-        if bound <= self._limit:
-            return
+    def _built(self) -> tuple:
         with self._lock:
-            target = min(self._ceiling, max(bound, 2 * self._limit, self._initial))
-            if target > self._limit:
-                self._extend(target)
+            if self._state is None:
+                odd = bytearray(1)  # 1 is not prime
+                for _, flags in _segments(3, self._initial):
+                    odd += flags
+                tallies = (odd.count(1, i, i + _BLOCK) for i in range(0, len(odd), _BLOCK))
+                counts = array("L", accumulate(tallies, initial=0))
+                small = list(compress(range(1, _TRIAL, 2), odd[: _TRIAL // 2]))
+                self._state = (self._initial, odd, counts, small)
+        return self._state
 
-    def _extend(self, new_limit: int) -> None:
-        # Base primes up to sqrt(new_limit) must exist first.
-        root = isqrt(new_limit)
-        if root > self._limit:
-            self._extend(root)
-        _, old, counts = self._state
-        size = (new_limit + 1) // 2  # the odd numbers 1, 3, ... <= new_limit
-        odd = bytearray(b"\x01") * size
-        odd[: len(old)] = old
-        base = list(compress(range(3, root + 1, 2), odd[1 : (root + 1) // 2]))
-        for low in range(len(old), size, _SEGMENT):
-            high = min(low + _SEGMENT, size)
-            for p, start in _strikes(base, low, high):
-                odd[start:high:p] = bytes(len(range(start, high, p)))
-        counts = counts[: len(old) // _BLOCK + 1]  # drop a partial last block
-        starts = range((len(counts) - 1) * _BLOCK, size, _BLOCK)
-        ends = range(starts.start + _BLOCK, size + _BLOCK, _BLOCK)
-        tallies = map(odd.count, repeat(1), starts, ends)
-        counts.extend(accumulate(tallies, initial=counts.pop()))
-        self._state = (new_limit, odd, counts)
-
-    # -- queries ------------------------------------------------------
+    def _pi(self, x: int) -> int:
+        return self._pi_cache.get(x) or self._pi_cache.setdefault(x, _prime_count(x))
 
     def nth_prime(self, m: int) -> int:
         """Return the m-th prime (1-based: nth_prime(1) == 2)."""
@@ -114,122 +86,155 @@ class PrimeSieve:
             return cached
         if m < 1:
             raise InvalidInput(f"prime index must be >= 1, got {m}")
-        if m > self._count():
-            self._ensure(self._nth_prime_bound(m))
-            while m > self._count() and self._limit < self._ceiling:
-                self._ensure(2 * self._limit)
-            if m > self._count():
-                raise CapacityExceeded(
-                    f"prime #{m} lies beyond the sieve ceiling {self._ceiling}",
-                    needed=m,
-                    limit=self._ceiling,
-                )
-        if m == 1:
-            return 2
-        _, odd, counts = self._state
-        j = bisect_left(counts, m - 1) - 1  # block j holds the (m - 1)-th odd prime
-        start = j * _BLOCK
-        numbers = range(2 * start + 1, 2 * (start + _BLOCK), 2)
-        # Cache the whole block: neighbouring indices are often asked for next.
-        block = compress(numbers, odd[start : start + _BLOCK])
-        self._nth_cache.update(zip(count(counts[j] + 2), block))
-        return self._nth_cache[m]
-
-    @staticmethod
-    def _nth_prime_bound(m: int) -> int:
-        # Rosser-style upper bound for p_m, valid for m >= 6.
-        if m < 6:
-            return 13
-        x = log(m)
-        return int(m * (x + log(x))) + 10
+        limit, odd, counts, _ = self._state or self._built()
+        if m <= counts[-1] + 1:
+            j = bisect_left(counts, m - 1) - 1  # block j holds the (m - 1)-th odd prime
+            start = j * _BLOCK
+            # Cache the whole block: neighbouring indices are often asked for next.
+            block = compress(count(2 * start + 1, 2), odd[start : start + _BLOCK])
+            self._nth_cache.update(zip(count(counts[j] + 2), block))
+            return self._nth_cache[m]
+        # m(ln m + ln ln m - 1) <= p_m for m >= 2; p_m <= m(ln m + ln ln m - 0.9484)
+        # for m >= 39017 (Dusart 1999), and without 0.9484 for m >= 6 (Rosser).
+        lo, hi, c = 1, 0, self._ceiling
+        if m <= c:  # else p_m > m > c
+            x = log(m)
+            lo = max(limit + 1, int(m * (x + log(x) - 1)))
+            hi = min(c, 13 if m < 6 else int(m * (x + log(x) - 0.9484 * (m >= 39017))) + 1)
+        if lo <= hi:
+            left = m - (counts[-1] + 1 if lo == limit + 1 else self._pi(lo - 1))
+            for first, flags in _segments(lo, hi):
+                if left <= (found := flags.count(1)):
+                    primes = compress(count(first, 2), flags)
+                    p = self._nth_cache[m] = next(islice(primes, left - 1, None))
+                    return p
+                left -= found
+        msg = f"prime #{m} lies beyond the sieve ceiling {c}"
+        raise CapacityExceeded(msg, needed=m, limit=c)
 
     def prime_index(self, p: int) -> int:
         """Return m such that nth_prime(m) == p (the order of the prime)."""
-        if p < 2:
-            raise NotPrime(f"{p} is not a prime")
         if p > self._ceiling:
-            raise CapacityExceeded(
-                f"indexing prime {p} needs sieving past the ceiling {self._ceiling}",
-                needed=p,
-                limit=self._ceiling,
-            )
-        # Trial division needs primes only up to sqrt(p); sieve to p only
-        # once p is known to be prime.
-        if self.factorize(p).omega != 1:
-            raise NotPrime(f"{p} is not a prime")
-        self._ensure(p)
+            msg = f"indexing prime {p} needs sieving past the ceiling {self._ceiling}"
+            raise CapacityExceeded(msg, needed=p, limit=self._ceiling)
+        limit, odd, counts, _ = self._state or self._built()
+        if p > limit:  # past the sieve: prove p prime, then count the primes up to it
+            if self.factorize(p).omega != 1:
+                raise NotPrime(f"{p} is not a prime")
+            return self._pi(p)
         if p == 2:
             return 1
-        _, odd, counts = self._state
+        if p < 2 or not (p & 1 and odd[p >> 1]):
+            raise NotPrime(f"{p} is not a prime")
         i = p >> 1
         j = i // _BLOCK
         return 2 + counts[j] + odd.count(1, j * _BLOCK, i)
 
     def factorize(self, n: int) -> Factorization:
-        """Trial-divide n over sieved primes; results are cached."""
+        """Trial division by ``small``, then Miller–Rabin proves cofactors prime and
+        rho splits them; results are cached."""
         if n < 1:
             raise InvalidInput(f"cannot factorize {n}; need n >= 1")
         cached = self._factor_cache.get(n)
         if cached is not None:
             return cached
-        factors: list[tuple[int, int]] = []
-        m = n
-        tried = 1  # every prime <= tried has been divided out of m
-        while m > 1:
-            limit, odd, _ = self._state
-            if tried >= limit:  # no sieved prime left to try
-                root = isqrt(m)
-                if limit >= root:
-                    break  # no prime <= sqrt(m) divides m: m is prime
-                if root > self._ceiling:
-                    if limit < self._initial:
-                        # A cold sieve first tries the primes any warm one has.
-                        self._ensure(self._initial)
-                        continue
-                    raise CapacityExceeded(
-                        f"factoring {n} needs primes past the ceiling {self._ceiling}",
-                        needed=root,
-                        limit=self._ceiling,
-                    )
-                self._ensure(root)
-                continue
-            if tried < 2:  # 2, then the odd numbers from 1 (odd[0] is 0)
-                k = (m & -m).bit_length() - 1
-                if k:
-                    m >>= k
-                    factors.append((2, k))
-                candidates = compress(range(1, limit + 1, 2), odd)
-            else:  # the odd numbers past the limit of an earlier state
-                first = (tried + 1) // 2
-                odd_after = range(2 * first + 1, limit + 1, 2)
-                candidates = compress(odd_after, memoryview(odd)[first:])
-            for p in candidates:
-                if p * p > m:
-                    break
-                if m % p == 0:
-                    k = 0
-                    while m % p == 0:
-                        m //= p
-                        k += 1
-                    factors.append((p, k))
+        small, c = (self._state or self._built())[3], self._ceiling
+        k = (n & -n).bit_length() - 1  # 2 divides n k times
+        m, found = n >> k, [2] * k
+        for p in small:
+            if p * p > m:
+                break
+            while m % p == 0:
+                m //= p
+                found.append(p)
+        pending = [m] if m > 1 else []
+        while pending:  # no prime in small divides what is pending
+            m = pending.pop()
+            d = m > small[-1] ** 2 and self._split(m)
+            if d:
+                pending += (d, m // d)
             else:
-                tried = limit
-                continue
-            break
-        if m > 1:
-            factors.append((m, 1))
-        result = Factorization(tuple(factors), sum(k for _, k in factors))
-        self._factor_cache[n] = result
+                found.append(m)
+        root = isqrt(prod(q for q in found if q > c))
+        if root > c:
+            msg = f"factoring {n} needs primes past the ceiling {c}"
+            raise CapacityExceeded(msg, needed=root, limit=c)
+        factors = tuple((q, found.count(q)) for q in sorted(set(found)))
+        result = self._factor_cache[n] = Factorization(factors, len(found))
         return result
+
+    def _split(self, m: int) -> int:
+        """A factor 1 < d < m of m, or 0 when m is prime or past every bound; below
+        (ceiling + 1)**2, what rho leaves is divided by every prime up to its root."""
+        probable = _probable_prime(m)
+        if probable and m < _MR_PROVEN:
+            return 0
+        d = 0 if probable else _rho(m, 16 * isqrt(self._ceiling) + 4096)
+        if d or isqrt(m) > self._ceiling:
+            return d
+        return next((p for p in _primes(3, isqrt(m)) if m % p == 0), 0)
+
+
+def _probable_prime(n: int) -> bool:
+    """Miller–Rabin on the odd n > 2, with the bases of _MR_BASES below n."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in _MR_BASES[: bisect_left(_MR_BASES, n)]:
+        x = pow(a, (n - 1) >> s, n)  # then x**2, x**4, ..., x**(2**(s - 1))
+        if x != 1 and n - 1 not in accumulate(range(1, s), lambda y, _: y * y % n, initial=x):
+            return False
+    return True
+
+
+def _rho(n: int, budget: int) -> int:
+    """A factor 1 < d < n of the odd composite n by Pollard's rho with Brent's
+    cycle finding (Brent 1980), or 0 once ``budget`` steps have gone by.  A
+    round multiplies its differences and takes one gcd; a round whose product
+    takes all of n is stepped through again, a gcd per step."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1 and budget > 0:
+            x = start = y
+            q = 1
+            for _ in range(min(r, budget)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = gcd(q, n)
+            budget -= r
+            r *= 2
+        if g == n:  # the first step of the round that shares a factor with n
+            y, g = start, 1
+            while g == 1:
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+        if g != n:
+            return 0 if g == 1 else g
+
+
+def _prime_count(x: int) -> int:
+    """pi(x) by the Lucy_Hedgehog (Legendre) method, in O(x**0.75) time: after odd
+    prime p, ``small[v]`` (``large[i]``) counts the odd numbers in 3 .. v
+    (3 .. x // i) that are prime or have no odd prime factor <= p."""
+    root = isqrt(x)
+    small = [max(v - 1, 0) // 2 for v in range(root + 1)]
+    large = [0] + [(x // i - 1) // 2 for i in range(1, root + 1)]
+    for p in range(3, root + 1, 2):
+        below = small[p - 1]
+        if small[p] == below:
+            continue  # p is not prime
+        top = min(root, x // (p * p))
+        near, xp = min(top, root // p), x // p
+        ahead = large[p : near * p + 1 : p]
+        large[1 : near + 1] = [a - b + below for a, b in zip(large[1 : near + 1], ahead)]
+        far = range(near + 1, top + 1)
+        large[near + 1 : top + 1] = [large[i] - small[xp // i] + below for i in far]
+        small[p * p :] = [small[v] - small[v // p] + below for v in range(p * p, root + 1)]
+    return large[1] + 1  # and 2
 
 
 def _strikes(base: list[int], low: int, high: int) -> Iterator[tuple[int, int]]:
-    """(p, first index) of each prime p in base that strikes odd indices [low, high).
-
-    Index i stands for the odd number 2i + 1, so p's odd multiples lie p
-    indices apart, and striking starts at p * p.  base holds odd primes,
-    ascending.
-    """
+    """(p, first index) of each odd prime p in base, ascending, that strikes odd
+    indices [low, high).  Index i stands for the odd number 2i + 1, so p's odd
+    multiples lie p indices apart, and striking starts at p * p."""
     for p in base:
         start = p * p >> 1  # the index of p * p
         if start >= high:
@@ -239,19 +244,30 @@ def _strikes(base: list[int], low: int, high: int) -> Iterator[tuple[int, int]]:
         yield p, start
 
 
-def smallest_prime_factors(lo: int, hi: int) -> Iterator[int]:
-    """Yield the smallest prime factor of each composite n in [lo, hi], in order.
-
-    Primes and 1 give 0.  The odd numbers are struck ``_SEGMENT`` at a
-    time by ``_strikes``, largest prime first so that each ends up marked
-    by its smallest, and the even ones are 2.  A local sieve supplies the
-    primes up to sqrt(hi), so the shared sieve is neither read nor grown,
-    and memory stays one segment.
-    """
+def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
+    """(first number, flags) per segment of the odd numbers in [lo, hi], lo > 2;
+    a flag is 1 when its number is prime."""
     root = isqrt(hi)
-    local = PrimeSieve()
-    local._extend(root)
-    base = list(compress(range(3, root + 1, 2), local._state[1][1:]))
+    base = list(_primes(3, root)) if root > 2 else []
+    stop = (hi + 1) // 2
+    for low in range(lo // 2, stop, _SEGMENT):
+        high = min(low + _SEGMENT, stop)
+        flags = bytearray(b"\x01") * (high - low)
+        for p, start in _strikes(base, low, high):
+            flags[start - low :: p] = bytes(len(range(start, high, p)))
+        yield 2 * low + 1, flags
+
+
+def _primes(lo: int, hi: int) -> Iterator[int]:
+    for first, flags in _segments(lo, hi):
+        yield from compress(count(first, 2), flags)
+
+
+def smallest_prime_factors(lo: int, hi: int) -> Iterator[int]:
+    """Yield the smallest prime factor of each composite n in [lo, hi], in order;
+    primes and 1 give 0.  The odd numbers are struck a segment at a time, largest
+    prime first so that each ends up marked by its smallest; the even ones are 2."""
+    base = list(_primes(3, isqrt(hi)))
     yield from (0, 0)[lo - 1 : hi]  # n = 1 and 2, which no segment holds
     stop = (hi + 1) // 2  # the odd index of the last odd n <= hi, plus one
     for low in range(max((lo - 1) // 2, 1), stop, _SEGMENT):
@@ -259,32 +275,25 @@ def smallest_prime_factors(lo: int, hi: int) -> Iterator[int]:
         spf = [0, 2] * (high - low)  # n = 2 * low + 1 + j at spf[j]
         for p, start in reversed(list(_strikes(base, low, high))):
             spf[2 * (start - low) :: 2 * p] = [p] * len(range(start, high, p))
-        first = 2 * low + 1
-        yield from islice(spf, max(lo - first, 0), hi + 1 - first)
+        yield from islice(spf, max(lo - 2 * low - 1, 0), hi - 2 * low)
         del spf  # before the next segment's list exists
 
 
-_default: PrimeSieve | None = None
-_default_lock = threading.Lock()
+_default = PrimeSieve()  # cheap: a sieve is built on first use
 
 
 def default_sieve() -> PrimeSieve:
     """The process-wide sieve shared by the tree and stats modules."""
-    global _default
-    if _default is None:
-        with _default_lock:
-            if _default is None:
-                _default = PrimeSieve()
     return _default
 
 
 def nth_prime(m: int) -> int:
-    return default_sieve().nth_prime(m)
+    return _default.nth_prime(m)
 
 
 def prime_index(p: int) -> int:
-    return default_sieve().prime_index(p)
+    return _default.prime_index(p)
 
 
 def factorize(n: int) -> Factorization:
-    return default_sieve().factorize(n)
+    return _default.factorize(n)

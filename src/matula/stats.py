@@ -602,7 +602,7 @@ class StatsEngine:
         """Memoize what ``compute(name, n, alpha=alpha)`` reads, for lo <= n <= hi.
 
         The dense feeder walks the range, so the pass neither factorizes
-        nor grows the shared sieve, apart from the one ``prime_index``
+        nor reads the shared sieve, apart from the one ``prime_index``
         call at the first prime >= lo when lo > 2.  It stops at the sieve's
         ceiling; ``compute`` meets any n past it on its own.
         """

@@ -24,7 +24,7 @@ class RootedTree:
     """Immutable rooted tree; do not mutate after construction.
 
     ``matula`` is computed at construction from the children's numbers,
-    so building a tree may grow the shared prime sieve and can raise
+    so building a tree reads the shared prime sieve and can raise
     CapacityExceeded for trees whose number exceeds the sieve ceiling.
     """
 

@@ -16,6 +16,13 @@ per difference and exits 1 if there is any, else 0.
 - ``selftest --max-n 300 --seed 0..2`` and ``selftest --max-n 2000``;
 - ``decode 987654321`` in each format, ``encode "(()(()))"``;
 - ``stat NK 987654321`` and ``stat HYPER_W 987654321``;
+- the prime layer past the initial sieve: ``stat V``, ``decode`` and the
+  ``encode`` of 999999937 (a prime near the 10**9 ceiling), ``stat V
+  999999866000004473`` (the product of two such primes), ``decode
+  83528415823579`` and ``stat PV 52443337377833`` (semiprimes with a factor
+  past 10**6), and the errors ``stat V 1000000007`` (a prime past the
+  ceiling) and ``stat V <10**51 + 7>``.  A tree that sieves up to the prime
+  it indexes takes 8-32 s per command on these.
 - an oracle dump: the type and ``repr`` of ``oracle_value`` for every
   statistic over n <= 1200, alpha statistics at alpha 0, +-1, +-2, +-1/2
   (as floats and as Fractions) and k statistics at k = 0 .. height + 1.
@@ -27,6 +34,9 @@ import sys
 from pathlib import Path
 
 RECORDER = Path(__file__).resolve().parent / "record_output_digests.py"
+
+# decode 999999937: encoding it needs nth_prime(50847534)
+NEAR_CEILING_TREE = "((()(())(())(())(()()())((((())))(()(())(())((()))))))"
 
 ORACLE_DUMP = """
 from fractions import Fraction
@@ -76,6 +86,10 @@ def _commands(tree: Path) -> list[list[str]]:
     commands += [["decode", "987654321", "--format", f] for f in ("paren", "json", "dot")]
     commands += [["encode", "(()(()))"], ["stat", "NK", "987654321"],
                  ["stat", "HYPER_W", "987654321"]]
+    commands += [["stat", "V", "999999937"], ["decode", "999999937"],
+                 ["encode", NEAR_CEILING_TREE], ["stat", "V", "999999866000004473"],
+                 ["decode", "83528415823579"], ["stat", "PV", "52443337377833"],
+                 ["stat", "V", "1000000007"], ["stat", "V", str(10**51 + 7)]]
     return [["-m", "matula", *c] for c in commands] + [[str(RECORDER)], ["-c", ORACLE_DUMP]]
 
 

@@ -443,16 +443,50 @@ def test_verify_non_utf8_bfile_is_an_error(tmp_path):
 
 
 def test_one_shot_commands_import_only_what_they_run():
-    code = (
-        "import sys, matula.cli; "
-        "print(sorted(m for m in ('matula.oracle', 'dataclasses', 'inspect', 'json') "
-        "if m in sys.modules))"
-    )
+    heavy = ("matula.oracle", "matula.stats", "matula.poly", "matula.tree", "fractions",
+             "dataclasses", "inspect", "json")
+    cases = [
+        ([], []),
+        (["decode", "360", "--format", "dot"], ["matula.tree"]),
+        (["encode", "(()(()))"], ["matula.tree"]),
+        (["stat", "A_ALPHA", "360", "--alpha", "1/2"],
+         ["fractions", "matula.poly", "matula.stats"]),
+    ]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    for argv, loaded in cases:
+        code = (
+            "import sys, matula.cli\n"
+            f"if {argv!r}: matula.cli.main({argv!r})\n"
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules), file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (0, f"{loaded}\n"), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_one_error_line():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "matula", "stat", "V", "5"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize(
+    "n, value",
+    [(999999937, "27"), (999999866000004473, "51")],
+    ids=["prime-below-the-ceiling", "product-of-two-such-primes"],
+)
+def test_fresh_process_answers_near_the_ceiling(n, value):
+    # Past the initial sieve: pi(x) for the index, Miller–Rabin and rho for
+    # the factors; the sieve is never grown to the prime.
+    proc = _run_matula(["stat", "V", str(n)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, value + "\n", "")
 
 
 def test_selftest_loads_the_oracle_in_a_fresh_process():

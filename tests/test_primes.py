@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import time
 import tracemalloc
 from bisect import bisect_right
 from functools import cache
@@ -14,6 +15,7 @@ from matula.errors import CapacityExceeded, InvalidInput, NotPrime
 from matula.primes import (
     _SEGMENT,
     PrimeSieve,
+    _rho,
     factorize,
     nth_prime,
     prime_index,
@@ -134,13 +136,14 @@ def test_smallest_prime_factors_across_segment_boundaries():
         assert list(smallest_prime_factors(lo, hi)) == want[lo : hi + 1], (lo, hi)
 
 
-def test_fresh_sieve_grows_lazily():
+def test_fresh_sieve_stays_at_its_built_bound():
     sieve = PrimeSieve(initial_bound=10, ceiling=10**6)
+    assert sieve._limit == 1  # built on first use
     assert sieve.nth_prime(25) == 97
     assert sieve.prime_index(541) == 100
     assert sieve.factorize(2 * 3 * 541).factors == ((2, 1), (3, 1), (541, 1))
-    assert sieve._limit == 541  # a factor on the sieve's last byte is still tried
     assert sieve.factorize(541 * 547).factors == ((541, 1), (547, 1))
+    assert sieve._limit == 10  # answered past the sieve, which never grew
 
 
 def test_capacity_nth_prime():
@@ -200,7 +203,7 @@ def test_concurrent_readers_and_growth():
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, mid-growth too
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-build too
     try:
         for th in threads:
             th.start()
@@ -307,3 +310,113 @@ def test_range_sieve_memory_stays_one_segment():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 10**6
+
+
+_PQ = 1000003 * 999999999999999989  # a prime past the sieve times one past the ceiling
+
+
+def _answer(sieve, query):
+    """The sieve's answer to one query, or the error it raised."""
+    kind, x = query
+    try:
+        if kind == "factor":
+            return sieve.factorize(x).factors
+        if kind == "index":  # the largest prime factor of a number below 10**8
+            return sieve.prime_index(sieve.factorize(x % 10**8 + 2).factors[-1][0])
+        return sieve.nth_prime(x % 10**6 + 1)
+    except (CapacityExceeded, NotPrime) as exc:
+        return type(exc), str(exc), getattr(exc, "needed", None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    queries=st.lists(
+        st.tuples(
+            st.sampled_from(("factor", "index", "nth")),
+            st.one_of(
+                st.lists(st.integers(1, 10**9), min_size=1, max_size=3).map(math.prod),
+                st.just(_PQ),
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_fresh_and_warm_sieves_agree(queries):
+    """A sieve's answers do not depend on the queries it answered before."""
+    warm = PrimeSieve()
+    answers = [_answer(warm, q) for q in queries]
+    backwards = PrimeSieve()
+    assert [_answer(backwards, q) for q in reversed(queries)] == answers[::-1]
+    assert [_answer(PrimeSieve(), q) for q in queries] == answers
+    assert warm._limit == backwards._limit == 10**6
+
+
+def test_a_prime_past_the_sieve_times_one_past_the_ceiling():
+    want = ((1000003, 1), (999999999999999989, 1))
+    assert PrimeSieve().factorize(_PQ).factors == want
+    warm = PrimeSieve()
+    assert warm.prime_index(1000003) == 78499
+    assert warm.factorize(_PQ).factors == want
+
+
+def test_two_primes_past_a_small_ceiling_raise_cold_and_warm():
+    n = 1009 * 1013
+    warm = PrimeSieve(initial_bound=100, ceiling=1000)
+    assert warm.nth_prime(168) == 997
+    assert warm.factorize(997 * 1009).factors == ((997, 1), (1009, 1))
+    for sieve in (PrimeSieve(initial_bound=100, ceiling=1000), warm):
+        with pytest.raises(CapacityExceeded) as exc:
+            sieve.factorize(n)
+        assert str(exc.value) == f"factoring {n} needs primes past the ceiling 1000"
+        assert (exc.value.needed, exc.value.limit) == (1010, 1000)
+        assert sieve._limit == 100
+
+
+def test_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(15)
+    sieve = PrimeSieve()
+    for bound, draws in ((10**7, 8), (10**9, 3)):
+        for _ in range(draws):
+            p = sympy.prevprime(rng.randrange(3, bound))
+            assert sieve.prime_index(p) == sympy.primepi(p), p
+            m = rng.randrange(1, sympy.primepi(bound))
+            assert sieve.nth_prime(m) == sympy.prime(m), m
+    for bound in (10**9, 10**18):
+        for _ in range(25):
+            n = rng.randrange(1, bound)
+            assert dict(sieve.factorize(n).factors) == sympy.factorint(n), n
+        for _ in range(5):
+            p, q = (sympy.prevprime(rng.randrange(3, math.isqrt(bound))) for _ in "pq")
+            assert dict(sieve.factorize(p * q).factors) == sympy.factorint(p * q)
+    assert sieve._limit == 10**6
+
+
+_TWO_PAST_THE_CEILING = 1000000000039 * 3000000000013  # rho's budget cannot split it
+
+
+class _CountedModulus(int):
+    """An odd modulus that counts the reductions made by it: two per rho step."""
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        _CountedModulus.reductions += 1
+        return other % int(self)
+
+
+def test_rho_stops_at_its_budget():
+    _CountedModulus.reductions = 0
+    assert _rho(_CountedModulus(_TWO_PAST_THE_CEILING), 1000) == 0
+    assert _CountedModulus.reductions == 2 * 1000
+
+
+def test_an_unsplit_composite_past_the_ceiling_raises_within_the_budget():
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded) as exc:
+        PrimeSieve().factorize(_TWO_PAST_THE_CEILING)
+    elapsed = time.perf_counter() - start
+    assert exc.value.limit == 10**9
+    # 16 * sqrt(10**9) + 4096 rho steps take about 0.4 s on a 2-vCPU host.
+    assert elapsed < 4, elapsed
