@@ -11,10 +11,10 @@ n <= 5000; a tree with more is counted by the product over children.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import compress
 from math import comb, lcm, prod
 from typing import Any, Callable
 
@@ -24,69 +24,38 @@ from .poly import IntPolynomial
 from .stats import STATISTICS, StatName, StatsEngine
 from .tree import RootedTree, decode
 
-_ANALYSIS_BUDGET = 10_000  # vertices; all-pairs distances cost V**2
+_ANALYSIS_BUDGET = 10_000  # vertices; the pair distances cost time V**2, memory V
 _ENUMERATION_BUDGET = 1 << 16  # connected sets made before the product takes over
 
 
-class VertexInfo:
-    __slots__ = ("level", "degree", "parent", "is_leaf", "exit_distance")
-
-    def __init__(
-        self, level: int, degree: int, parent: int | None, is_leaf: bool, exit_distance: int
-    ):
-        self.level = level
-        self.degree = degree
-        self.parent = parent
-        self.is_leaf = is_leaf
-        self.exit_distance = exit_distance
-
-
 class TreeAnalysis:
-    """Per-vertex data plus the all-pairs distance matrix.
+    """One column per vertex fact, plus two aggregates of pair distances.
 
-    Vertices are indexed in canonical preorder (root = 0).  ``pair_dists``
-    lists dist[i][j] for i < j, row by row.  The facts that several
-    definitions read (``_degrees``, ``_edge_degree_pairs`` and
-    ``_distance_counts``) are computed once, on first use.
+    Vertices are indexed in canonical preorder (root = 0, ``parents[0]`` is
+    -1).  ``leaves[i]`` says whether vertex i is a leaf; the single vertex
+    is none.  ``exits[i]`` is its exit distance.  ``distance_counts[d]`` is
+    the number of vertex pairs at distance d >= 1, and
+    ``pendant_distance_sum`` the sum of the distances between pairs of
+    pendant (degree 1) vertices.
     """
 
     def __init__(
-        self,
-        vertices: list[VertexInfo],
-        children: list[list[int]],
-        edges: list[tuple[int, int]],
-        dist: list[list[int]],
-        pair_dists: list[int],
+        self, parents, children, levels, degrees, leaves, exits, edges,
+        distance_counts, pendant_distance_sum,
     ):
-        self.vertices = vertices
-        self.children = children
-        self.edges = edges
-        self.dist = dist
-        self.pair_dists = pair_dists
+        self.parents: list[int] = parents
+        self.children: list[list[int]] = children
+        self.levels: list[int] = levels
+        self.degrees: list[int] = degrees
+        self.leaves: list[bool] = leaves
+        self.exits: list[int] = exits
+        self.edges: list[tuple[int, int]] = edges
+        self.distance_counts: Counter = distance_counts
+        self.pendant_distance_sum: int = pendant_distance_sum
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    def degrees(self) -> list[int]:
-        return list(self._degrees)
-
-    def edge_degree_pairs(self) -> list[tuple[int, int]]:
-        return list(self._edge_degree_pairs)
-
-    @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        return tuple(v.degree for v in self.vertices)
-
-    @cached_property
-    def _edge_degree_pairs(self) -> tuple[tuple[int, int], ...]:
-        degrees = self._degrees
-        return tuple((degrees[a], degrees[b]) for a, b in self.edges)
-
-    @cached_property
-    def _distance_counts(self) -> Counter:
-        """The number of vertex pairs at each distance d >= 1."""
-        return Counter(self.pair_dists)
+        return len(self.parents)
 
     @cached_property
     def subtree_counts(self) -> tuple[int, int]:
@@ -95,35 +64,33 @@ class TreeAnalysis:
 
 
 def analyze(t: RootedTree) -> TreeAnalysis:
-    """Flatten a tree and precompute levels, degrees, exit labels, distances."""
-    nodes: list[RootedTree] = []
-    parent: list[int] = []
+    """Flatten a tree into its vertex columns and count its pair distances."""
+    parents: list[int] = []
     stack: list[tuple[RootedTree, int]] = [(t, -1)]
     while stack:
         node, pi = stack.pop()
-        if len(nodes) >= _ANALYSIS_BUDGET:
+        i = len(parents)
+        if i >= _ANALYSIS_BUDGET:
             raise BudgetExceeded(
                 f"tree exceeds the oracle budget of {_ANALYSIS_BUDGET} vertices",
-                needed=len(nodes) + 1,
+                needed=i + 1,
                 limit=_ANALYSIS_BUDGET,
             )
-        i = len(nodes)
-        nodes.append(node)
-        parent.append(pi)
+        parents.append(pi)
         for child in reversed(node.children):
             stack.append((child, i))
 
-    n = len(nodes)
+    n = len(parents)
     children: list[list[int]] = [[] for _ in range(n)]
     for i in range(1, n):
-        children[parent[i]].append(i)
+        children[parents[i]].append(i)
 
     levels = [0] * n
     for i in range(1, n):
-        levels[i] = levels[parent[i]] + 1
+        levels[i] = levels[parents[i]] + 1
 
     degrees = [len(children[i]) + (1 if i > 0 else 0) for i in range(n)]
-    edges = [(parent[i], i) for i in range(1, n)]
+    edges = [(parents[i], i) for i in range(1, n)]
 
     # Exit distances: leaves get 0, every other vertex is one more than
     # its closest child.  The single vertex gets 0 by convention.
@@ -132,39 +99,41 @@ def analyze(t: RootedTree) -> TreeAnalysis:
         if children[i]:
             exits[i] = 1 + min(exits[c] for c in children[i])
 
+    leaves = [not kids and n > 1 for kids in children]
+    return TreeAnalysis(
+        parents, children, levels, degrees, leaves, exits, edges, *_pair_distances(edges, degrees)
+    )
+
+
+def _pair_distances(edges: list[tuple[int, int]], degrees: list[int]) -> tuple[Counter, int]:
+    """(pairs at each distance, distance sum over pendant pairs).
+
+    One BFS from each vertex s counts the vertices after s by their
+    distance from s, and drops its distances before the next BFS.
+    """
+    n = len(degrees)
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-
-    dist = [_bfs_distances(adjacency, start) for start in range(n)]
-
-    vertices = [
-        VertexInfo(
-            level=levels[i],
-            degree=degrees[i],
-            parent=None if i == 0 else parent[i],
-            is_leaf=not children[i] and n > 1,
-            exit_distance=exits[i],
-        )
-        for i in range(n)
-    ]
-    pair_dists = [d for i, row in enumerate(dist) for d in row[i + 1 :]]
-    return TreeAnalysis(vertices, children, edges, dist, pair_dists)
-
-
-def _bfs_distances(adjacency: list[list[int]], start: int) -> list[int]:
-    n = len(adjacency)
-    dist = [-1] * n
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    pendant = [d == 1 for d in degrees]
+    counts: Counter = Counter()
+    pendant_sum = 0
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        order = [s]
+        for u in order:
+            du = dist[u] + 1
+            for v in adjacency[u]:
+                if dist[v] < 0:
+                    dist[v] = du
+                    order.append(v)
+        after = dist[s + 1 :]
+        counts.update(after)
+        if pendant[s]:
+            pendant_sum += sum(compress(after, pendant[s + 1 :]))
+    return counts, pendant_sum
 
 
 # -- subtree counting -----------------------------------------------------
@@ -236,10 +205,6 @@ def _poly_of_counts(counts: Counter) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def _count_of_max(values: list[int]) -> int:
-    return values.count(max(values))
-
-
 def _inverse_power_sum(bases, m: int) -> Fraction:
     """The sum of 1 / b**m, as one fraction over the lcm of the b**m."""
     powers = [b**m for b in bases]
@@ -257,49 +222,47 @@ S = StatName
 _DEFINITIONS: dict[StatName, Callable[[TreeAnalysis, Any], Any]] = {
     S.V: lambda an, _: an.vertex_count,
     S.E: lambda an, _: len(an.edges),
-    S.H: lambda an, _: max(v.level for v in an.vertices),
+    S.H: lambda an, _: max(an.levels),
     # the single vertex has no leaf: LLL(1) = 0 by convention
-    S.LLL: lambda an, _: min((v.level for v in an.vertices if v.is_leaf), default=0),
-    S.LV: lambda an, _: sum(v.is_leaf for v in an.vertices),
-    S.MD: lambda an, _: max(an._degrees),
-    S.DM: lambda an, _: max(an._distance_counts, default=0),
-    S.PL: lambda an, _: sum(v.level for v in an.vertices),
-    S.EPL: lambda an, _: sum(v.level for v in an.vertices if v.is_leaf),
-    S.BV: lambda an, _: sum(d >= 3 for d in an._degrees),
-    S.PV: lambda an, _: sum(d == 1 for d in an._degrees),
+    S.LLL: lambda an, _: min(compress(an.levels, an.leaves), default=0),
+    S.LV: lambda an, _: sum(an.leaves),
+    S.MD: lambda an, _: max(an.degrees),
+    S.DM: lambda an, _: max(an.distance_counts, default=0),
+    S.PL: lambda an, _: sum(an.levels),
+    S.EPL: lambda an, _: sum(compress(an.levels, an.leaves)),
+    S.BV: lambda an, _: sum(d >= 3 for d in an.degrees),
+    S.PV: lambda an, _: sum(d == 1 for d in an.degrees),
     S.SP: lambda an, _: sum(comb(len(kids), 2) for kids in an.children),
-    S.VL: lambda an, _: an.vertex_count + sum(v.level for v in an.vertices),
+    S.VL: lambda an, _: an.vertex_count + sum(an.levels),
     S.RST: lambda an, _: an.subtree_counts[1],
     S.ST: lambda an, _: an.subtree_counts[0],
-    S.W: lambda an, _: sum(d * c for d, c in an._distance_counts.items()),
-    S.TW: lambda an, _: sum(an.dist[a][b] for a, b in combinations(
-        [i for i, d in enumerate(an._degrees) if d == 1], 2)),
-    S.Z1: lambda an, _: sum(d * d for d in an._degrees),
-    S.Z2: lambda an, _: sum(da * db for da, db in an._edge_degree_pairs),
-    S.NK: lambda an, _: prod(an._degrees),
-    S.MZ1: lambda an, _: prod(d * d for d in an._degrees),
+    S.W: lambda an, _: sum(d * c for d, c in an.distance_counts.items()),
+    S.TW: lambda an, _: an.pendant_distance_sum,
+    S.Z1: lambda an, _: sum(d * d for d in an.degrees),
+    S.Z2: lambda an, _: sum(an.degrees[a] * an.degrees[b] for a, b in an.edges),
+    S.NK: lambda an, _: prod(an.degrees),
+    S.MZ1: lambda an, _: prod(d * d for d in an.degrees),
     # MZ2(1) = 0 matches the bijection side's base convention
-    S.MZ2: lambda an, _: prod(d**d for d in an._degrees) if an.vertex_count > 1 else 0,
-    S.A_ALPHA: lambda an, total: total(v.degree for v in an.vertices if v.level == 1),
-    S.R_ALPHA: lambda an, total: total(da * db for da, db in an._edge_degree_pairs),
-    S.PWP: lambda an, _: _poly_of_counts(Counter(
-        v.level for v in an.vertices if v.parent is not None)),
-    S.WP: lambda an, _: _poly_of_counts(an._distance_counts),
-    S.DSP: lambda an, _: _poly_of_counts(Counter(an._degrees)),
-    S.EDP: lambda an, _: _poly_of_counts(Counter(v.exit_distance for v in an.vertices)),
+    S.MZ2: lambda an, _: prod(d**d for d in an.degrees) if an.vertex_count > 1 else 0,
+    S.A_ALPHA: lambda an, total: total(
+        d for d, level in zip(an.degrees, an.levels) if level == 1),
+    S.R_ALPHA: lambda an, total: total(an.degrees[a] * an.degrees[b] for a, b in an.edges),
+    S.PWP: lambda an, _: _poly_of_counts(Counter(an.levels[1:])),
+    S.WP: lambda an, _: _poly_of_counts(an.distance_counts),
+    S.DSP: lambda an, _: _poly_of_counts(Counter(an.degrees)),
+    S.EDP: lambda an, _: _poly_of_counts(Counter(an.exits)),
     S.HYPER_W: lambda an, _: sum(
-        c * (d * (d + 1) // 2) for d, c in an._distance_counts.items()),
-    S.MULT_W: lambda an, _: prod(d**c for d, c in an._distance_counts.items()),
-    S.POLARITY: lambda an, k: an._distance_counts.get(k, 0),
+        c * (d * (d + 1) // 2) for d, c in an.distance_counts.items()),
+    S.MULT_W: lambda an, _: prod(d**c for d, c in an.distance_counts.items()),
+    S.POLARITY: lambda an, k: an.distance_counts.get(k, 0),
     S.SUM_EVEN: lambda an, _: sum(
-        d * c for d, c in an._distance_counts.items() if d % 2 == 0),
+        d * c for d, c in an.distance_counts.items() if d % 2 == 0),
     S.SUM_ODD: lambda an, _: sum(
-        d * c for d, c in an._distance_counts.items() if d % 2 == 1),
-    S.EXIT_SUM: lambda an, _: sum(v.exit_distance for v in an.vertices),
-    S.EXIT_MAX: lambda an, _: max(v.exit_distance for v in an.vertices),
-    S.EXIT_MAX_COUNT: lambda an, _: _count_of_max([v.exit_distance for v in an.vertices]),
-    S.LEVEL_COUNT: lambda an, k: sum(
-        v.level == k for v in an.vertices if v.parent is not None),
+        d * c for d, c in an.distance_counts.items() if d % 2 == 1),
+    S.EXIT_SUM: lambda an, _: sum(an.exits),
+    S.EXIT_MAX: lambda an, _: max(an.exits),
+    S.EXIT_MAX_COUNT: lambda an, _: an.exits.count(max(an.exits)),
+    S.LEVEL_COUNT: lambda an, k: an.levels[1:].count(k),
 }
 # fmt: on
 
@@ -369,7 +332,7 @@ def compare_all(
     engine = engine if engine is not None else stats.default_engine()
     if an is None:
         an = analyze(decode(n))
-    height = max(v.level for v in an.vertices)
+    height = max(an.levels)
     engine._warm(_WARM_CASES, n)
     problems: list[str] = []
     for name, stat in STATISTICS.items():
@@ -406,7 +369,11 @@ def random_split_check(n: int, rng_seed: int, engine: StatsEngine | None = None)
         raise InvalidInput(f"{n} is not composite")
     rng = random.Random(rng_seed)
 
-    r = rng.choice(_nontrivial_divisors(n, fz))
+    # Each exponent drawn uniformly from 0 .. its multiplicity gives every
+    # divisor alike; redrawing 1 and n leaves the nontrivial ones alike.
+    r = 1
+    while r in (1, n):
+        r = prod(p ** rng.randint(0, mult) for p, mult in fz.factors)
     prime_r = rng.choice([p for p, _ in fz.factors])
 
     for name, stat in STATISTICS.items():
@@ -419,9 +386,3 @@ def random_split_check(n: int, rng_seed: int, engine: StatsEngine | None = None)
                 return False
     return True
 
-
-def _nontrivial_divisors(n: int, fz: primes.Factorization) -> list[int]:
-    divisors = [1]
-    for p, mult in fz.factors:
-        divisors = [d * p**e for d in divisors for e in range(mult + 1)]
-    return sorted(d for d in divisors if 1 < d < n)

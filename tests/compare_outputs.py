@@ -24,8 +24,10 @@ per difference and exits 1 if there is any, else 0.
   ceiling) and ``stat V <10**51 + 7>``.  A tree that sieves up to the prime
   it indexes takes 8-32 s per command on these.
 - an oracle dump: the type and ``repr`` of ``oracle_value`` for every
-  statistic over n <= 1200, alpha statistics at alpha 0, +-1, +-2, +-1/2
-  (as floats and as Fractions) and k statistics at k = 0 .. height + 1.
+  statistic over n <= 1200 and the trees of ``2**1000``, ``3**300`` and
+  ``3**40 * 5**40 * 7**30`` (1001, 601 and 291 vertices), alpha
+  statistics at alpha 0, +-1, +-2, +-1/2 (as floats and as Fractions) and
+  k statistics at k = 0 .. height + 1.
 """
 
 import os
@@ -39,14 +41,16 @@ RECORDER = Path(__file__).resolve().parent / "record_output_digests.py"
 NEAR_CEILING_TREE = "((()(())(())(())(()()())((((())))(()(())(())((()))))))"
 
 ORACLE_DUMP = """
+import sys
 from fractions import Fraction
 from matula.oracle import analyze, oracle_value
-from matula.stats import STATISTICS
+from matula.stats import STATISTICS, StatName
 from matula.tree import decode
+sys.set_int_max_str_digits(0)  # MULT_W(2**1000) has 150000 digits
 alphas = (0, 1, -1, 2, -2, 0.5, -0.5, Fraction(1, 2), Fraction(-1, 2))
-for n in range(1, 1201):
+for n in [*range(1, 1201), 2**1000, 3**300, 3**40 * 5**40 * 7**30]:
     an = analyze(decode(n))
-    height = max(v.level for v in an.vertices)
+    height = oracle_value(an, StatName.H)
     for name, stat in STATISTICS.items():
         if stat.param == "alpha":
             cases = [{"alpha": a} for a in alphas]

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -25,47 +27,92 @@ from matula.tree import decode, encode, parse_canonical_string, to_canonical_str
 S = StatName
 
 
+def _lca_distances(an):
+    """dist(i, j) = level i + level j - 2 level(lca), the lca found by
+    walking up ``parents``: a distance matrix made without BFS."""
+    levels, parents = an.levels, an.parents
+
+    def lca(i, j):
+        while levels[i] > levels[j]:
+            i = parents[i]
+        while levels[j] > levels[i]:
+            j = parents[j]
+        while i != j:
+            i, j = parents[i], parents[j]
+        return i
+
+    m = an.vertex_count
+    return [[levels[i] + levels[j] - 2 * levels[lca(i, j)] for j in range(m)] for i in range(m)]
+
+
+def _reference_distance_aggregates(an):
+    """(pairs at each distance, distance sum over pendant pairs) from the
+    lca distances, with degrees counted from the edge list."""
+    dist = _lca_distances(an)
+    m = an.vertex_count
+    counts = Counter(dist[i][j] for i in range(m) for j in range(i + 1, m))
+    degree = Counter(v for edge in an.edges for v in edge)
+    pendant = [v for v in range(m) if degree[v] == 1]
+    return counts, sum(dist[a][b] for a, b in combinations(pendant, 2))
+
+
 def test_single_vertex_analysis():
     an = analyze(decode(1))
     assert an.vertex_count == 1
-    v = an.vertices[0]
-    assert v.degree == 0
-    assert v.level == 0
-    assert v.parent is None
-    assert v.exit_distance == 0
-    assert not v.is_leaf  # the lone root does not count as a leaf
+    assert an.degrees == [0]
+    assert an.levels == [0]
+    assert an.parents == [-1]
+    assert an.children == [[]]
+    assert an.exits == [0]
+    assert an.leaves == [False]  # the lone root does not count as a leaf
     assert an.edges == []
-    assert an.dist == [[0]]
+    assert an.distance_counts == Counter()
+    assert an.pendant_distance_sum == 0
 
 
 def test_three_vertex_star_analysis():
     an = analyze(decode(4))
-    assert sorted(an.degrees(), reverse=True) == [2, 1, 1]
-    flat = sorted(an.dist[i][j] for i in range(3) for j in range(i + 1, 3))
-    assert flat == [1, 1, 2]
+    assert sorted(an.degrees, reverse=True) == [2, 1, 1]
+    assert an.distance_counts == Counter({1: 2, 2: 1})
+    assert an.pendant_distance_sum == 2  # the two leaves are 2 apart
 
 
 def test_five_vertex_path_analysis():
     an = analyze(decode(9))
     assert an.vertex_count == 5
     assert oracle_value(an, S.DM) == 4
-    assert sorted(an.degrees()) == [1, 1, 2, 2, 2]
+    assert sorted(an.degrees) == [1, 1, 2, 2, 2]
+    assert an.distance_counts == Counter({1: 4, 2: 3, 3: 2, 4: 1})
+    assert an.pendant_distance_sum == 4
 
 
 def test_distance_matrix_shape():
-    for n in (1, 4, 9, 60, 2310):
+    for n in (1, 4, 9, 60, 2310, 3**10 * 7**3):
         an = analyze(decode(n))
         m = an.vertex_count
         dm = oracle_value(an, S.DM)
+        dist = _lca_distances(an)
         for i in range(m):
-            assert an.dist[i][i] == 0
+            assert dist[i][i] == 0
             for j in range(m):
-                assert an.dist[i][j] == an.dist[j][i]
-                assert 0 <= an.dist[i][j] <= dm
-        degs = an.degrees()
-        assert sum(degs) == 2 * len(an.edges)
-        upper = [an.dist[i][j] for i in range(m) for j in range(i + 1, m)]
-        assert an.pair_dists == upper
+                assert dist[i][j] == dist[j][i]
+                assert 0 <= dist[i][j] <= dm
+        assert sum(an.degrees) == 2 * len(an.edges)
+        assert (an.distance_counts, an.pendant_distance_sum) == (
+            _reference_distance_aggregates(an)
+        )
+
+
+def test_analysis_memory_tracks_the_tree_not_its_square():
+    t = decode(2**1000)  # a star with 1001 vertices: 500500 pairs
+    tracemalloc.start()
+    try:
+        an = analyze(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert an.distance_counts == Counter({1: 1000, 2: 499500})
+    assert peak < 2 * 2**20
 
 
 def test_oracle_spot_values():
@@ -110,15 +157,13 @@ def test_analysis_budget():
 def _exit_labels_by_procedure(an):
     """Label leaves 0, then unlabeled parents of k-labeled vertices get k+1."""
     n = an.vertex_count
-    labels = {i: 0 for i, v in enumerate(an.vertices) if v.is_leaf}
+    labels = {i: 0 for i, leaf in enumerate(an.leaves) if leaf}
     if n == 1:
         labels[0] = 0
     k = 0
     while len(labels) < n:
         parents = {
-            an.vertices[i].parent
-            for i, lab in labels.items()
-            if lab == k and an.vertices[i].parent is not None
+            an.parents[i] for i, lab in labels.items() if lab == k and an.parents[i] >= 0
         }
         k += 1
         for p in parents:
@@ -131,7 +176,7 @@ def test_exit_labels_follow_labeling_procedure():
     for n in list(range(1, 200)) + [987654321]:
         an = analyze(decode(n))
         labels = _exit_labels_by_procedure(an)
-        assert labels == [v.exit_distance for v in an.vertices]
+        assert labels == an.exits
         counted = {}
         for lab in labels:
             counted[lab] = counted.get(lab, 0) + 1
@@ -252,6 +297,49 @@ def test_random_split_sampling_is_seeded():
             assert random_split_check(n, rng.randrange(2**31), engine)
 
 
+def test_random_split_draws_a_divisor_without_listing_them():
+    n = 2**20 * 3**20 * 5**20 * 7**20  # 194481 divisors
+    engine = StatsEngine()
+    tracemalloc.start()
+    try:
+        ok = random_split_check(n, 5, engine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 2 * 2**20
+
+
+def test_big_trees_match_the_oracle():
+    """20 seeded trees of 500 to 600 vertices: stars 2**k, the trees
+    3**k, and products of powers of primes below 1024 (whose factors stay
+    in trial division).  Each is checked by compare_all and a random
+    split and, when networkx is installed, its W by ``wiener_index``."""
+    try:
+        import networkx as nx
+    except ImportError:
+        nx = None
+    rng = random.Random(20111118)
+    engine = StatsEngine()
+    small_primes = [nth_prime(i) for i in range(1, 173)]  # 2 .. 1021
+    ns = [2 ** rng.randrange(500, 560) for _ in range(3)]
+    ns += [3 ** rng.randrange(250, 280) for _ in range(3)]
+    while len(ns) < 20:
+        target = rng.randrange(500, 560)
+        factors = rng.sample(small_primes, rng.randint(2, 8))
+        n = 1
+        while engine.compute(S.V, n) < target:
+            n *= rng.choice(factors)
+        ns.append(n)
+    for n in ns:
+        an = analyze(decode(n))
+        assert 500 <= an.vertex_count <= 600
+        assert compare_all(n, engine, an) == []
+        assert random_split_check(n, rng.randrange(2**31), engine)
+        if nx is not None:
+            assert engine.compute(S.W, n) == nx.wiener_index(nx.Graph(an.edges))
+
+
 @st.composite
 def _trees(draw):
     """A parenthesized tree, children in drawn order, and its vertex count.
@@ -288,8 +376,9 @@ def test_random_trees_round_trip_and_match_the_oracle(drawn, seed):
     assert encode(parse_canonical_string(canonical)) == n
     an = analyze(t)
     assert an.vertex_count == size
-    upper = [an.dist[i][j] for i in range(size) for j in range(i + 1, size)]
-    assert an._distance_counts == Counter(upper)
+    assert (an.distance_counts, an.pendant_distance_sum) == (
+        _reference_distance_aggregates(an)
+    )
     engine = StatsEngine()
     assert compare_all(n, engine, an) == []
     if len(t.children) >= 2:  # n is composite
