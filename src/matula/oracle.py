@@ -142,12 +142,14 @@ def _pair_distances(edges: list[tuple[int, int]], degrees: list[int]) -> tuple[C
 def subtree_counts(an: TreeAnalysis) -> tuple[int, int]:
     """Return (subtrees, root subtrees): the tree's connected vertex sets.
 
-    The sets are enumerated one by one while there are at most
-    ``_ENUMERATION_BUDGET`` of them; a tree with more is counted by the
-    product over children instead.
+    The sets are enumerated one by one when the product over children
+    counts at most ``_ENUMERATION_BUDGET`` of them; a tree with more is
+    counted by that product, and never enumerated.
     """
-    counts = _subtrees_by_enumeration(an)
-    return counts if counts is not None else _subtrees_by_dp(an)
+    counts = _subtrees_by_dp(an)
+    if counts[0] <= _ENUMERATION_BUDGET:
+        counts = _subtrees_by_enumeration(an) or counts
+    return counts
 
 
 def _subtrees_by_enumeration(an: TreeAnalysis) -> tuple[int, int] | None:

@@ -24,6 +24,17 @@ once through ``_exact``, which raises ``InternalIntegrityError`` instead of
 flooring, and A/R at an integer alpha >= 0 are sums of int powers.  Every
 ``compute`` of a multiplicative statistic also checks its value against
 the degree multiset read off DSP.
+
+The polynomial statistics (PWP, WP, DSP, EDP) are memoized Kronecker-
+packed: sum c_k x^k is the int sum c_k << _SLOT*k, its value at
+x = 2**_SLOT.  That evaluation is a ring homomorphism, so their rules,
+subtractions included, are exact int arithmetic.  It decodes uniquely
+while every c_k lies in [0, 2**_SLOT): c_k <= C(V, 2), and V(n) <=
+1 + 2*log2(n) (by induction: p_t >= sqrt(2)*t and V(r*s) = V(r) + V(s)
+- 1), so ``_check_n`` refuses every n of 2**(_SLOT/2 - 1) bits or
+more.  A polynomial is decoded, in one pass, only where
+it leaves the engine: ``compute`` and ``composite_value`` return an
+``IntPolynomial`` view, and derived statistics read one.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import struct
 import threading
 from fractions import Fraction
 from types import MappingProxyType
@@ -38,10 +50,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 from . import primes
 from .errors import InternalIntegrityError, InvalidInput, UnsupportedName
-from .poly import IntPolynomial, ONE, X, ZERO
 from .primes import PrimeSieve
-
-_monomial = IntPolynomial.monomial
 
 StatValue = Any  # int | Fraction | IntPolynomial | float
 
@@ -56,12 +65,13 @@ class Statistic(NamedTuple):
     (name, alpha) pair its memo at that alpha, "OMEGA" the memo of Omega(m)
     (the degree of the root of m's tree) and "POW" the function
     b -> b**alpha.
-    A derived statistic has no recursion: its value is
-    ``derive(value of reads[0] at n, k)``.  A multiplicative statistic
-    (NK, MZ1, MZ2) has a ``degree_power``: at n >= 2 its value is also the
-    product of deg ** degree_power(deg) over the vertices, which the engine
-    checks against DSP.  ``param`` is None, "alpha" or "k", and ``default`` its
-    value when not given.
+    A ``packed`` statistic's value is a polynomial, memoized packed and
+    returned as an ``IntPolynomial``.  A derived statistic has no
+    recursion: its value is ``derive(polynomial of reads[0] at n, k)``.  A
+    multiplicative statistic (NK, MZ1, MZ2) has a ``degree_power``: at n >=
+    2 its value is also the product of deg ** degree_power(deg) over the
+    vertices, which the engine checks against DSP.  ``param`` is None,
+    "alpha" or "k", and ``default`` its value when not given.
     """
 
     name: str
@@ -76,6 +86,7 @@ class Statistic(NamedTuple):
     prime_split: bool = False  # composite rule assumes r is prime
     degree_power: Callable[[int], int] | None = None  # exponent in DSP check
     derive: Callable | None = None
+    packed: bool = False  # memoized as a packed polynomial
     aliases: tuple[str, ...] = ()
 
 
@@ -204,25 +215,25 @@ _RECORDS = (
                   + A[s] * (p(w[r] + w[s]) - p(w[s]))),
               param="alpha", default=Fraction(-1, 2),
               aliases=("R", "RANDIC")),
+    # The four polynomials are packed ints (see the module docstring): 0
+    # and 1 are the polynomials 0 and 1, _x(k) is x^k and << _SLOT is * x.
     Statistic("PWP", "A196056", "partial Wiener polynomial with respect to the root",
-              {1: ZERO}, ("PWP",),
-              lambda t, PWP: X + PWP[t].scale_by_x(),
-              lambda r, s, PWP: PWP[r] + PWP[s]),
+              {1: 0}, ("PWP",),
+              lambda t, PWP: (1 + PWP[t]) << _SLOT,
+              lambda r, s, PWP: PWP[r] + PWP[s], packed=True),
     Statistic("WP", "A196059", "Wiener polynomial (vertex pairs by distance)",
-              {1: ZERO}, ("WP", "PWP"),
-              lambda t, WP, PWP: WP[t] + PWP[t].scale_by_x() + X,
-              lambda r, s, WP, PWP: WP[r] + WP[s] + PWP[r] * PWP[s]),
+              {1: 0}, ("WP", "PWP"),
+              lambda t, WP, PWP: WP[t] + ((1 + PWP[t]) << _SLOT),
+              lambda r, s, WP, PWP: WP[r] + WP[s] + PWP[r] * PWP[s], packed=True),
     Statistic("DSP", "A182907", "degree sequence polynomial (vertices by degree)",
-              {1: ONE}, ("DSP", "OMEGA"),
-              lambda t, DSP, w: DSP[t] + _monomial(w[t]) * (X - 1) + X,
+              {1: 1}, ("DSP", "OMEGA"),
+              lambda t, DSP, w: DSP[t] + _x(w[t] + 1) - _x(w[t]) + _x(1),
               lambda r, s, DSP, w: (
-                  DSP[r] + DSP[s] - _monomial(w[r]) - _monomial(w[s])
-                  + _monomial(w[r] + w[s]))),
+                  DSP[r] + DSP[s] - _x(w[r]) - _x(w[s]) + _x(w[r] + w[s])), packed=True),
     Statistic("EDP", "A184167", "exit-distance polynomial (vertices by exit distance)",
-              {1: ONE}, ("EDP", "LLL"),
-              lambda t, EDP, LLL: EDP[t] + _monomial(1 + LLL[t]),
-              lambda r, s, EDP, LLL: (
-                  EDP[r] + EDP[s] - _monomial(max(LLL[r], LLL[s])))),
+              {1: 1}, ("EDP", "LLL"),
+              lambda t, EDP, LLL: EDP[t] + _x(1 + LLL[t]),
+              lambda r, s, EDP, LLL: EDP[r] + EDP[s] - _x(max(LLL[r], LLL[s])), packed=True),
     # The hyper-Wiener index sums (d + d^2) / 2 over the pairs at distance d;
     # d * (d + 1) is even, so each term is an exact int.
     Statistic("HYPER_W", "A196060", "hyper-Wiener index",
@@ -338,6 +349,36 @@ def _not_integral(stat: Statistic, n: int, exc: _NotIntegral) -> InternalIntegri
     return InternalIntegrityError(f"{stat.name}({n}) came out non-integral: {exc}")
 
 
+# Bits per coefficient of a packed polynomial.  Rules and decoding read it
+# when they run, so a test can narrow it.
+_SLOT = 64
+
+
+def _x(k: int) -> int:
+    """x**k, packed."""
+    return 1 << _SLOT * k
+
+
+def _slots(v: int) -> tuple[int, ...]:
+    """The coefficients of packed v, lowest first, with no trailing zero."""
+    if v < 0:
+        raise InternalIntegrityError(f"a packed polynomial came out negative: {v}")
+    count = -(-v.bit_length() // _SLOT)
+    code = "BHIQ"[_SLOT.bit_length() - 4]  # the unsigned 8-, 16-, 32- or 64-bit int
+    return struct.unpack(f"<{count}{code}", v.to_bytes(count * _SLOT // 8, "little"))
+
+
+_wrap: Any = None  # poly._wrap, imported by the first view: only a view loads poly
+
+
+def _view(v: int):
+    """Packed v as an ``IntPolynomial``."""
+    global _wrap
+    if _wrap is None:
+        from .poly import _wrap
+    return _wrap(_slots(v))  # _slots leaves no trailing zero
+
+
 def _run(entries: list, steps: Iterable[tuple[int, tuple[int, ...]]]) -> None:
     """Memoize each m of steps in every memo of a plan's entries that lacks it.
 
@@ -407,6 +448,11 @@ class StatsEngine:
     def _check_n(self, n) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InvalidInput(f"n must be a positive integer, got {n!r}")
+        # n of at most bits bits has V(n) < 2**(_SLOT/2), so C(V, 2) < 2**(_SLOT-1)
+        bits = (1 << _SLOT // 2 - 1) - 1
+        if n.bit_length() > bits:
+            raise InternalIntegrityError(f"n has {n.bit_length()} bits; the {_SLOT}-bit slots "
+                                         f"of packed polynomials hold n of at most {bits} bits")
 
     def _plan(self, *cases) -> tuple[list, list]:
         """Return (entries, memos) for what ``compute`` reads at every case.
@@ -524,7 +570,7 @@ class StatsEngine:
         dsp = self._eval(self._dsp, n)
         power = stat.degree_power
         check = math.prod(
-            deg ** (power(deg) * count) for deg, count in enumerate(dsp.coeffs) if count
+            deg ** (power(deg) * count) for deg, count in enumerate(_slots(dsp)) if count
         )
         if check != v:
             raise InternalIntegrityError(
@@ -575,7 +621,7 @@ class StatsEngine:
                 if v is None and stat.derive is not None:  # it has no memo
                     g = self._memo.get((stat.reads[0], None), _NO_MEMO).get(n)
                     if g is not None:
-                        return stat.derive(g, None)
+                        return stat.derive(_view(g), None)
             elif param == "alpha" and k is None:
                 raw = stat.default if alpha is None else alpha
                 a = self._alphas.get(raw) if type(raw) in _NUMBER_TYPES else None
@@ -586,17 +632,17 @@ class StatsEngine:
                 if type(k_) is int and k_ >= 0:
                     g = self._memo.get((stat.reads[0], None), _NO_MEMO).get(n)
                     if g is not None:
-                        return stat.derive(g, k_)
+                        return stat.derive(_view(g), k_)
         if v is None:
             alpha = self._resolve(stat, n, alpha, k)
             if stat.derive is not None:
                 if stat.param == "k":
                     k = _k_value(stat, k)
-                return stat.derive(self._eval(self._plan((stat.name, None)), n), k)
+                return stat.derive(_view(self._eval(self._plan((stat.name, None)), n)), k)
             v = self._eval(self._plan((stat.name, alpha)), n)
         if stat.degree_power is not None:
             return self._check_degrees(stat, n, v)
-        return v
+        return _view(v) if stat.packed else v
 
     def fill(self, name: StatName, lo: int, hi: int, alpha=None) -> None:
         """Memoize what ``compute(name, n, alpha=alpha)`` reads, for lo <= n <= hi.
@@ -635,6 +681,8 @@ class StatsEngine:
             value = stat.composite(r, s, *plan[0][0][3])
         except _NotIntegral as exc:
             raise _not_integral(stat, r * s, exc) from None
+        if stat.packed:
+            return _view(value)
         return value if a is None else _finish(value, a)
 
 

@@ -16,6 +16,10 @@ per difference and exits 1 if there is any, else 0.
 - ``selftest --max-n 300 --seed 0..2`` and ``selftest --max-n 2000``;
 - ``decode 987654321`` in each format, ``encode "(()(()))"``;
 - ``stat NK 987654321`` and ``stat HYPER_W 987654321``;
+- polynomials past ``table``'s sizes: ``stat WP <2**2000>``, ``stat DSP
+  <3**300>``, ``stat EDP <3**40 * 5**40 * 7**30>``, ``stat MULT_W
+  <2**200>`` and ``table WP 100000 100500``, and the error of ``table WP 1
+  3 --bfile``, which prints ``IntPolynomial(())``;
 - the prime layer past the initial sieve: ``stat V``, ``decode`` and the
   ``encode`` of 999999937 (a prime near the 10**9 ceiling), ``stat V
   999999866000004473`` (the product of two such primes), ``decode
@@ -90,6 +94,10 @@ def _commands(tree: Path) -> list[list[str]]:
     commands += [["decode", "987654321", "--format", f] for f in ("paren", "json", "dot")]
     commands += [["encode", "(()(()))"], ["stat", "NK", "987654321"],
                  ["stat", "HYPER_W", "987654321"]]
+    commands += [["stat", "WP", str(2**2000)], ["stat", "DSP", str(3**300)],
+                 ["stat", "EDP", str(3**40 * 5**40 * 7**30)],
+                 ["stat", "MULT_W", str(2**200)], ["table", "WP", "100000", "100500"],
+                 ["table", "WP", "1", "3", "--bfile"]]
     commands += [["stat", "V", "999999937"], ["decode", "999999937"],
                  ["encode", NEAR_CEILING_TREE], ["stat", "V", "999999866000004473"],
                  ["decode", "83528415823579"], ["stat", "PV", "52443337377833"],

@@ -449,8 +449,9 @@ def test_one_shot_commands_import_only_what_they_run():
         ([], []),
         (["decode", "360", "--format", "dot"], ["matula.tree"]),
         (["encode", "(()(()))"], ["matula.tree"]),
-        (["stat", "A_ALPHA", "360", "--alpha", "1/2"],
-         ["fractions", "matula.poly", "matula.stats"]),
+        (["stat", "A_ALPHA", "360", "--alpha", "1/2"], ["fractions", "matula.stats"]),
+        (["table", "V", "1", "50"], ["fractions", "matula.stats"]),
+        (["stat", "WP", "360"], ["fractions", "matula.poly", "matula.stats"]),
     ]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     for argv, loaded in cases:

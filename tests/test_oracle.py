@@ -147,6 +147,22 @@ def test_enumeration_budget():
     assert oracle._subtrees_by_enumeration(an) == oracle._subtrees_by_dp(an) == (59079, 59049)
 
 
+def test_trees_past_the_budget_are_never_enumerated(monkeypatch):
+    enumerated = []
+    enumerate_subtrees = oracle._subtrees_by_enumeration
+
+    def spy(an):
+        enumerated.append(an.vertex_count)
+        return enumerate_subtrees(an)
+
+    monkeypatch.setattr(oracle, "_subtrees_by_enumeration", spy)
+    big = analyze(decode(2**40))  # the star with 40 leaves: 2**40 + 40 subtrees
+    assert subtree_counts(big) == (2**40 + 40, 2**40)
+    assert enumerated == []
+    assert subtree_counts(analyze(decode(4))) == (6, 4)
+    assert enumerated == [3]
+
+
 def test_analysis_budget():
     with pytest.raises(BudgetExceeded) as exc:
         analyze(decode(2 ** 10000))  # a star with 10001 vertices
@@ -208,7 +224,7 @@ def test_compare_all_flags_float_alpha_disagreement():
 def test_compare_all_flags_level_count_disagreement():
     engine = StatsEngine()
     # 9 is the 5-vertex path rooted at its centre: PWP(9) = 2x + 2x^2
-    engine._memo["PWP", None] = {9: IntPolynomial((0, 2, 3))}
+    engine._memo["PWP", None] = {9: (2 << 64) | (3 << 128)}  # 2x + 3x^2, packed
     problems = compare_all(9, engine)
     assert "n=9 LEVEL_COUNT[k=2]: recursion 3 != oracle 2" in problems
     assert not any("LEVEL_COUNT[k=1]" in p for p in problems)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matula import primes
+from matula import primes, stats
 from matula.errors import (
     CapacityExceeded,
     InternalIntegrityError,
@@ -18,7 +18,7 @@ from matula.errors import (
     UnsupportedName,
 )
 from matula.oracle import analyze, compare_all, oracle_value
-from matula.poly import ZERO, IntPolynomial
+from matula.poly import X, ZERO, IntPolynomial
 from matula.primes import PrimeSieve
 from matula.stats import (
     _POWER_BITS,
@@ -244,6 +244,68 @@ def test_inexact_division_is_an_integrity_error(name, n):
     if n == 6:
         with pytest.raises(InternalIntegrityError, match=message):
             engine.composite_value(name, 2, 3)
+
+
+# The polynomial rules in IntPolynomial arithmetic: (prime rule at t,
+# composite rule at r * s), reading the engine's values through f and
+# Omega through w.
+_monomial = IntPolynomial.monomial
+_REFERENCE_RULES = {
+    S.PWP: (lambda t, f, w: X + f(S.PWP, t).scale_by_x(),
+            lambda r, s, f, w: f(S.PWP, r) + f(S.PWP, s)),
+    S.WP: (lambda t, f, w: f(S.WP, t) + f(S.PWP, t).scale_by_x() + X,
+           lambda r, s, f, w: f(S.WP, r) + f(S.WP, s) + f(S.PWP, r) * f(S.PWP, s)),
+    S.DSP: (lambda t, f, w: f(S.DSP, t) + _monomial(w(t)) * (X - 1) + X,
+            lambda r, s, f, w: (f(S.DSP, r) + f(S.DSP, s) - _monomial(w(r))
+                                - _monomial(w(s)) + _monomial(w(r) + w(s)))),
+    S.EDP: (lambda t, f, w: f(S.EDP, t) + _monomial(1 + f(S.LLL, t)),
+            lambda r, s, f, w: (f(S.EDP, r) + f(S.EDP, s)
+                                - _monomial(max(f(S.LLL, r), f(S.LLL, s))))),
+}
+_SPLIT_PARTS = st.integers(2, 10**4) | st.sampled_from([2**300, 3**100, 5**60 * 7**20])
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(list(_REFERENCE_RULES)), t=st.integers(1, 10**4),
+       r=_SPLIT_PARTS, s=_SPLIT_PARTS)
+def test_packed_rules_match_polynomial_arithmetic(name, t, r, s):
+    engine = StatsEngine()
+    f = engine.compute
+
+    def w(m):
+        return primes.factorize(m).omega
+
+    prime_rule, composite_rule = _REFERENCE_RULES[name]
+    assert f(name, primes.nth_prime(t)) == prime_rule(t, f, w)
+    want = composite_rule(r, s, f, w)
+    assert engine.composite_value(name, r, s) == want
+    assert f(name, r * s) == want
+
+
+def test_a_narrow_slot_refuses_what_it_cannot_hold(monkeypatch):
+    names = (S.PWP, S.WP, S.DSP, S.EDP, S.NK, S.HYPER_W)
+    want = [StatsEngine().compute(name, n) for name in names for n in range(1, 128)]
+    # n of 7 bits has V(n) <= 15 and coefficients <= C(15, 2) < 2**8
+    monkeypatch.setattr(stats, "_SLOT", 8)
+    engine = StatsEngine()
+    assert [engine.compute(name, n) for name in names for n in range(1, 128)] == want
+    message = "^n has 8 bits; the 8-bit slots of packed polynomials hold n of at most 7 bits$"
+    with pytest.raises(InternalIntegrityError, match=message):
+        engine.compute(S.WP, 128)
+    with pytest.raises(InternalIntegrityError, match="^n has 21 bits"):
+        engine.compute(S.WP, 2**20)
+    with pytest.raises(InternalIntegrityError, match="^n has 21 bits"):
+        engine.fill(S.WP, 1, 2**20)
+    with pytest.raises(InternalIntegrityError, match="^n has 21 bits"):
+        engine.composite_value(S.WP, 2**10, 2**10)
+
+
+@pytest.mark.parametrize("name, read", [(S.WP, "WP"), (S.HYPER_W, "WP"), (S.NK, "DSP")])
+def test_a_negative_packed_value_is_an_integrity_error(name, read):
+    engine = StatsEngine()
+    engine._memo.setdefault((read, None), {})[60] = -5  # sabotage the live memo
+    with pytest.raises(InternalIntegrityError, match="^a packed polynomial came out negative: -5$"):
+        engine.compute(name, 60)
 
 
 def test_memo_hits_validate_like_cold_calls():
