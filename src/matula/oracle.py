@@ -214,6 +214,21 @@ def _inverse_power_sum(bases, m: int) -> Fraction:
     return Fraction(sum(den // p for p in powers), den)
 
 
+def _power_sum(bases, a):
+    """The sum of b**a: a float at a float a, else exact.
+
+    An exact sum whose largest power is past the engine's bound is
+    refused as the engine refuses it, before any power is made.
+    """
+    if isinstance(a, float):
+        return float(sum(float(b) ** a for b in bases))
+    bases = list(bases)
+    stats._check_power(max(bases, default=1), a)
+    if a >= 0:
+        return sum(b**a for b in bases)
+    return stats._simplify(_inverse_power_sum(bases, -a))
+
+
 S = StatName
 
 # One definition per statistic, from the explicit tree.  Each takes
@@ -272,28 +287,14 @@ _DEFINITIONS: dict[StatName, Callable[[TreeAnalysis, Any], Any]] = {
 def oracle_value(an: TreeAnalysis, name: StatName, alpha=None, k: int | None = None):
     """Compute a statistic from the analysis using only its definition.
 
-    Parameter conventions (which parameter, its default) come from the
-    statistic's record; a missing alpha and a parameter the statistic does
-    not take are rejected, with the engine's messages.
+    The parameters resolve as the engine's do (``stats._params``), except
+    that a statistic that takes alpha requires it.
     """
     stat = stats._statistic(name)
-    define = _DEFINITIONS[name]
-    if stat.param is None and alpha is None and k is None:
-        return define(an, None)
-    if alpha is not None and stat.param != "alpha":
-        raise InvalidInput(f"{name.value} takes no alpha parameter")
-    if k is not None and stat.param != "k":
-        raise InvalidInput(f"{name.value} takes no k parameter")
+    alpha, k = stats._params(stat, alpha, k, default=False)
     if stat.param == "alpha":
-        if alpha is None:
-            raise InvalidInput(f"{name.value} requires alpha")
-        exact, a = stats._alpha_mode(alpha)
-        if not exact:
-            return float(define(an, lambda bases: sum(float(b) ** a for b in bases)))
-        if a >= 0:
-            return define(an, lambda bases: sum(b**a for b in bases))
-        return stats._simplify(define(an, lambda bases: _inverse_power_sum(bases, -a)))
-    return define(an, stats._k_value(stat, k))
+        return _DEFINITIONS[name](an, lambda bases: _power_sum(bases, alpha))
+    return _DEFINITIONS[name](an, k)
 
 
 def oracle_stat(name: StatName, t: RootedTree, alpha=None, k: int | None = None):

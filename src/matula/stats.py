@@ -32,9 +32,15 @@ subtractions included, are exact int arithmetic.  It decodes uniquely
 while every c_k lies in [0, 2**_SLOT): c_k <= C(V, 2), and V(n) <=
 1 + 2*log2(n) (by induction: p_t >= sqrt(2)*t and V(r*s) = V(r) + V(s)
 - 1), so ``_check_n`` refuses every n of 2**(_SLOT/2 - 1) bits or
-more.  A polynomial is decoded, in one pass, only where
-it leaves the engine: ``compute`` and ``composite_value`` return an
-``IntPolynomial`` view, and derived statistics read one.
+more.  A polynomial is decoded, in one pass, where it is read:
+``compute`` and ``composite_value`` return an ``IntPolynomial`` view of a
+packed statistic, and a derived statistic reads the decoded coefficients.
+
+``_params`` is the one place that knows the parameter rules: which
+statistic takes alpha or k, their defaults, their normal form and every
+error about them; the oracle resolves through it too.  ``compute`` runs
+it once per call signature and keeps the outcome, the memo to read and
+how to finish its value, in ``StatsEngine._calls``.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ import math
 import struct
 import threading
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Any, Callable, Iterable, NamedTuple
 
 from . import primes
@@ -67,7 +72,8 @@ class Statistic(NamedTuple):
     b -> b**alpha.
     A ``packed`` statistic's value is a polynomial, memoized packed and
     returned as an ``IntPolynomial``.  A derived statistic has no
-    recursion: its value is ``derive(polynomial of reads[0] at n, k)``.  A
+    recursion: its value is ``derive(g, k)``, g the coefficient tuple of
+    reads[0] at n, lowest first.  A
     multiplicative statistic (NK, MZ1, MZ2) has a ``degree_power``: at n >=
     2 its value is also the product of deg ** degree_power(deg) over the
     vertices, which the engine checks against DSP.  ``param`` is None,
@@ -238,36 +244,34 @@ _RECORDS = (
     # d * (d + 1) is even, so each term is an exact int.
     Statistic("HYPER_W", "A196060", "hyper-Wiener index",
               reads=("WP",),
-              derive=lambda g, k: sum(
-                  c * d * (d + 1) // 2 for d, c in enumerate(g.coeffs))),
+              derive=lambda g, k: sum(c * d * (d + 1) // 2 for d, c in enumerate(g))),
     Statistic("MULT_W", "A196061",
               "multiplicative Wiener index (product of pairwise distances)",
               reads=("WP",),
-              derive=lambda g, k: math.prod(
-                  d**c for d, c in enumerate(g.coeffs) if d > 1)),
+              derive=lambda g, k: math.prod(d**c for d, c in enumerate(g) if d > 1)),
     Statistic("POLARITY", "A184156",
               "Wiener polarity index (pairs at distance k, default 3)",
               reads=("WP",), param="k", default=3,
-              derive=lambda g, k: g.coefficient(k)),
+              derive=lambda g, k: g[k] if k < len(g) else 0),
     Statistic("SUM_EVEN", "A184157", "sum of even pairwise distances",
               reads=("WP",),
-              derive=lambda g, k: g.even_part().derivative().eval_at_one()),
+              derive=lambda g, k: sum(d * c for d, c in enumerate(g) if d % 2 == 0)),
     Statistic("SUM_ODD", "A184158", "sum of odd pairwise distances",
               reads=("WP",),
-              derive=lambda g, k: g.odd_part().derivative().eval_at_one()),
+              derive=lambda g, k: sum(d * c for d, c in enumerate(g) if d % 2)),
     Statistic("EXIT_SUM", "A184168", "sum of exit distances over all vertices",
               reads=("EDP",),
-              derive=lambda g, k: g.derivative().eval_at_one()),
+              derive=lambda g, k: sum(d * c for d, c in enumerate(g))),
     Statistic("EXIT_MAX", "A184169", "maximum exit distance",
               reads=("EDP",),
-              derive=lambda g, k: g.degree()),
+              derive=lambda g, k: len(g) - 1),
     Statistic("EXIT_MAX_COUNT", "A184170",
               "number of vertices attaining the maximum exit distance",
               reads=("EDP",),
-              derive=lambda g, k: g.leading_coefficient()),
+              derive=lambda g, k: g[-1]),
     Statistic("LEVEL_COUNT", None, "number of non-root vertices at level k",
               reads=("PWP",), param="k",
-              derive=lambda g, k: g.coefficient(k)),
+              derive=lambda g, k: g[k] if k < len(g) else 0),
 )
 # fmt: on
 
@@ -303,7 +307,6 @@ _OMEGA = Statistic("OMEGA", None, "number of prime factors with multiplicity",
 
 _ALIASES = {alias: s.name for s in _RECORDS for alias in s.aliases}
 _BY_NAME = {s.name: s for s in (*_RECORDS, _OMEGA)}
-_NO_MEMO: Any = MappingProxyType({})
 
 
 def _statistic(name: StatName) -> Statistic:
@@ -406,14 +409,17 @@ def _run(entries: list, steps: Iterable[tuple[int, tuple[int, ...]]]) -> None:
 _POWER_BITS = 1 << 17
 
 
+def _check_power(base: int, alpha: int) -> None:
+    """Refuse an exact base**alpha of more than ``_POWER_BITS`` bits."""
+    if base > 1 and abs(alpha) * base.bit_length() > _POWER_BITS:
+        raise InvalidInput(f"{base}**{alpha} would exceed {_POWER_BITS} bits; "
+                           f"alpha {alpha} is too large")
+
+
 @functools.lru_cache(maxsize=4096)  # the rules ask for few distinct powers
 def _pow(base: int, alpha):
     if isinstance(alpha, int):
-        if base > 1 and abs(alpha) * base.bit_length() > _POWER_BITS:
-            raise InvalidInput(
-                f"{base}**{alpha} would exceed {_POWER_BITS} bits; "
-                f"alpha {alpha} is too large"
-            )
+        _check_power(base, alpha)
         return base**alpha if alpha >= 0 else Fraction(base) ** alpha
     try:
         return float(base) ** alpha
@@ -423,9 +429,68 @@ def _pow(base: int, alpha):
         ) from None
 
 
-# The alpha types whose normal form an engine caches: a bool, equal to 0 or
-# 1 as a key, must still be refused.
-_NUMBER_TYPES = (int, Fraction, float)
+def _check_n(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidInput(f"n must be a positive integer, got {n!r}")
+    # n of at most bits bits has V(n) < 2**(_SLOT/2), so C(V, 2) < 2**(_SLOT-1)
+    bits = (1 << _SLOT // 2 - 1) - 1
+    if n.bit_length() > bits:
+        raise InternalIntegrityError(f"n has {n.bit_length()} bits; the {_SLOT}-bit slots "
+                                     f"of packed polynomials hold n of at most {bits} bits")
+
+
+_NO_N: Any = object()  # the n of a call that has none: the oracle's
+
+
+def _params(stat: Statistic, alpha, k, n=_NO_N, default=True, check_k=True):
+    """Check a call of stat and return its (alpha, k), normalized.
+
+    alpha comes back an int where it is one exactly, else a float.  An
+    absent alpha takes the statistic's default, unless default is False:
+    then it is required.  k comes back defaulted and checked, unless
+    check_k is False (a call that takes no k).  n, where the call has
+    one, is checked after an alpha or a k the statistic does not take,
+    except that a derived statistic has its n checked before its k.
+    """
+    param = stat.param
+    if param is None and alpha is None and k is None:
+        if n is not _NO_N:
+            _check_n(n)
+        return None, None
+    if alpha is not None and param != "alpha":
+        raise InvalidInput(f"{stat.name} takes no alpha parameter")
+    if stat.derive is not None and n is not _NO_N:
+        _check_n(n)
+    if k is not None and param != "k":
+        raise InvalidInput(f"{stat.name} takes no k parameter")
+    if param == "alpha":  # past here every statistic takes alpha or k
+        if alpha is None:
+            if not default:
+                raise InvalidInput(f"{stat.name} requires alpha")
+            alpha = stat.default
+        if n is not _NO_N:
+            _check_n(n)
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction, float)):
+            got = "" if isinstance(alpha, bool) else f", got {alpha!r}"
+            raise InvalidInput(f"alpha must be a number{got}")
+        if isinstance(alpha, float) and not math.isfinite(alpha):
+            raise InvalidInput(f"alpha must be a finite number, got {alpha!r}")
+        return int(alpha) if alpha == int(alpha) else float(alpha), None
+    if check_k:
+        k = stat.default if k is None else k
+        if k is None:
+            raise InvalidInput(f"{stat.name} requires k")
+        if type(k) is not int:  # a bool is not a k either
+            raise InvalidInput(f"k must be an integer, got {k!r}")
+        if k < 0:
+            raise InvalidInput(f"k must be >= 0, got {k}")
+    return None, k
+
+
+# The alpha types of a call signature that ``compute`` keeps: equal values
+# of these types share a normal form, but True == 1 and Decimal(1) == 1
+# must still be refused.
+_SIGNATURE_ALPHAS = frozenset({type(None), int, Fraction, float})
 
 
 class StatsEngine:
@@ -440,19 +505,11 @@ class StatsEngine:
         self._sieve = sieve if sieve is not None else primes.default_sieve()
         self._memo: dict[tuple[str, Any], dict[int, Any]] = {}
         self._plans: dict[tuple, tuple[list, list]] = {}
-        self._alphas: dict[Any, Any] = {}  # alpha -> _alpha_mode(alpha)[1]
+        # call signature -> (memo key, finish), once _params has passed it
+        self._calls: dict[Any, tuple[tuple[str, Any], Callable | None]] = {}
         self._dsp = self._plan(("DSP", None))  # read by _check_degrees
 
     # -- internals ----------------------------------------------------
-
-    def _check_n(self, n) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InvalidInput(f"n must be a positive integer, got {n!r}")
-        # n of at most bits bits has V(n) < 2**(_SLOT/2), so C(V, 2) < 2**(_SLOT-1)
-        bits = (1 << _SLOT // 2 - 1) - 1
-        if n.bit_length() > bits:
-            raise InternalIntegrityError(f"n has {n.bit_length()} bits; the {_SLOT}-bit slots "
-                                         f"of packed polynomials hold n of at most {bits} bits")
 
     def _plan(self, *cases) -> tuple[list, list]:
         """Return (entries, memos) for what ``compute`` reads at every case.
@@ -535,7 +592,7 @@ class StatsEngine:
         cases are (statistic name, normalized alpha) pairs, so that
         ``compute`` and ``composite_value`` at n find their values memoized.
         """
-        self._check_n(n)
+        _check_n(n)
         self._eval(self._plan(*cases), n)
 
     def _dense(self, plan: tuple[list, list], lo: int, hi: int):
@@ -578,29 +635,21 @@ class StatsEngine:
             )
         return v
 
-    def _resolve(self, stat: Statistic, n: int, alpha, k):
-        """Return alpha, normalized and defaulted, for a call of stat at n.
+    def _call(self, stat: Statistic, n, alpha, k) -> tuple[tuple[str, Any], Callable | None]:
+        """(memo key, finish) of a call of stat, once ``_params`` passes it at n.
 
-        Rejects an alpha or a k that the statistic does not take and an n
-        that is not a positive integer; a derived statistic has n checked
-        before k.
+        ``compute`` returns the value v memoized at n under the key as it
+        is, or as finish(n, v): a derived statistic's rule, a packed
+        statistic's view or a multiplicative statistic's DSP check.
         """
-        if alpha is not None and stat.param != "alpha":
-            raise InvalidInput(f"{stat.name} takes no alpha parameter")
-        if k is not None and stat.derive is None:
-            raise InvalidInput(f"{stat.name} takes no k parameter")
-        self._check_n(n)
-        if k is not None and stat.param != "k":
-            raise InvalidInput(f"{stat.name} takes no k parameter")
-        if stat.param != "alpha":
-            return alpha
-        alpha = stat.default if alpha is None else alpha
-        if type(alpha) not in _NUMBER_TYPES:
-            return _alpha_mode(alpha)[1]
-        a = self._alphas.get(alpha)
-        if a is None:
-            a = self._alphas[alpha] = _alpha_mode(alpha)[1]
-        return a
+        alpha, k = _params(stat, alpha, k, n)
+        key = (stat.reads[0], None) if stat.derive else (stat.name, alpha)
+        self._plan(key)  # makes the memo
+        if stat.derive is not None:
+            return key, lambda n, g: stat.derive(_slots(g), k)
+        if stat.degree_power is not None:
+            return key, functools.partial(self._check_degrees, stat)
+        return key, (lambda n, v: _view(v)) if stat.packed else None
 
     # -- public operations ---------------------------------------------
 
@@ -610,39 +659,23 @@ class StatsEngine:
         """The value of any statistic at n, at the alpha or k it takes."""
         # _statistic(name), inlined on the path of every memo hit
         stat = _BY_NAME[name._value_] if type(name) is StatName else _statistic(name)
-        v = None
-        if type(n) is int and n > 0:
-            # Where no check in _resolve can fail, a memoized value costs a
-            # lookup in the live memo: at alpha's cached normal form, or for
-            # a derived statistic in its source's memo.
-            param = stat.param
-            if param is None and alpha is None and k is None:
-                v = self._memo.get((stat.name, None), _NO_MEMO).get(n)
-                if v is None and stat.derive is not None:  # it has no memo
-                    g = self._memo.get((stat.reads[0], None), _NO_MEMO).get(n)
-                    if g is not None:
-                        return stat.derive(_view(g), None)
-            elif param == "alpha" and k is None:
-                raw = stat.default if alpha is None else alpha
-                a = self._alphas.get(raw) if type(raw) in _NUMBER_TYPES else None
-                if a is not None:
-                    v = self._memo.get((stat.name, a), _NO_MEMO).get(n)
-            elif param == "k" and alpha is None:
-                k_ = stat.default if k is None else k
-                if type(k_) is int and k_ >= 0:
-                    g = self._memo.get((stat.reads[0], None), _NO_MEMO).get(n)
-                    if g is not None:
-                        return stat.derive(_view(g), k_)
+        if alpha is None and k is None:
+            signature: Any = stat.name  # a str key: no Enum.__hash__ call
+        elif type(alpha) in _SIGNATURE_ALPHAS and (k is None or type(k) is int):
+            signature = stat.name, alpha, k
+        else:  # checked on every call: True == 1 and 2.0 == 2 as keys
+            signature = None
+        call = self._calls.get(signature)
+        if call is None:
+            call = self._call(stat, n, alpha, k)
+            if signature is not None:
+                self._calls[signature] = call
+        key, finish = call
+        v = self._memo[key].get(n) if type(n) is int else None  # the live memo
         if v is None:
-            alpha = self._resolve(stat, n, alpha, k)
-            if stat.derive is not None:
-                if stat.param == "k":
-                    k = _k_value(stat, k)
-                return stat.derive(_view(self._eval(self._plan((stat.name, None)), n)), k)
-            v = self._eval(self._plan((stat.name, alpha)), n)
-        if stat.degree_power is not None:
-            return self._check_degrees(stat, n, v)
-        return _view(v) if stat.packed else v
+            _check_n(n)
+            v = self._eval(self._plan(key), n)
+        return v if finish is None else finish(n, v)
 
     def fill(self, name: StatName, lo: int, hi: int, alpha=None) -> None:
         """Memoize what ``compute(name, n, alpha=alpha)`` reads, for lo <= n <= hi.
@@ -653,8 +686,8 @@ class StatsEngine:
         ceiling; ``compute`` meets any n past it on its own.
         """
         stat = _statistic(name)
-        alpha = self._resolve(stat, lo, alpha, None)
-        self._check_n(hi)
+        alpha = _params(stat, alpha, None, lo, check_k=False)[0]
+        _check_n(hi)
         plan = self._plan((stat.name, alpha))
         _run(plan[0], self._dense(plan, lo, min(hi, self._sieve.ceiling)))
 
@@ -667,9 +700,7 @@ class StatsEngine:
         if r < 2 or s < 2:
             raise InvalidInput("both parts of a split must be >= 2")
         stat = _statistic(name)
-        if alpha is None and stat.param == "alpha":
-            raise InvalidInput(f"{stat.name} requires alpha")
-        a = self._resolve(stat, r * s, alpha, None)
+        a = _params(stat, alpha, None, r * s, default=False, check_k=False)[0]
         if stat.composite is None:
             raise InvalidInput(f"{stat.name} has no composite-case rule")
         if stat.prime_split and self._sieve.factorize(r).omega != 1:
@@ -684,31 +715,6 @@ class StatsEngine:
         if stat.packed:
             return _view(value)
         return value if a is None else _finish(value, a)
-
-
-def _alpha_mode(alpha) -> tuple[bool, Any]:
-    """Split alpha into (exact?, normalized value): ints are exact, the rest float."""
-    if isinstance(alpha, bool):
-        raise InvalidInput("alpha must be a number")
-    if isinstance(alpha, (int, Fraction)) and alpha.denominator == 1:
-        return True, int(alpha)
-    if isinstance(alpha, float) and alpha.is_integer():
-        return True, int(alpha)
-    if isinstance(alpha, (Fraction, float)):
-        return False, float(alpha)
-    raise InvalidInput(f"alpha must be a number, got {alpha!r}")
-
-
-def _k_value(stat: Statistic, k) -> int:
-    """k, defaulted and checked, for a statistic that takes k."""
-    k = stat.default if k is None else k
-    if k is None:
-        raise InvalidInput(f"{stat.name} requires k")
-    if type(k) is not int:  # a bool is not a k either
-        raise InvalidInput(f"k must be an integer, got {k!r}")
-    if k < 0:
-        raise InvalidInput(f"k must be >= 0, got {k}")
-    return k
 
 
 _default_engine: StatsEngine | None = None

@@ -27,11 +27,22 @@ per difference and exits 1 if there is any, else 0.
   past 10**6), and the errors ``stat V 1000000007`` (a prime past the
   ceiling) and ``stat V <10**51 + 7>``.  A tree that sieves up to the prime
   it indexes takes 8-32 s per command on these.
+- parameter handling: ``stat S 0``, ``stat S 0 --k 1`` and ``stat S 0
+  --alpha 2`` for S in V, A_ALPHA, HYPER_W, POLARITY and LEVEL_COUNT,
+  whose errors show which check comes first, and ``stat LEVEL_COUNT
+  360``, ``table LEVEL_COUNT 1 5000 --k 2`` and ``table POLARITY 1 5000
+  --k 0``;
 - an oracle dump: the type and ``repr`` of ``oracle_value`` for every
   statistic over n <= 1200 and the trees of ``2**1000``, ``3**300`` and
   ``3**40 * 5**40 * 7**30`` (1001, 601 and 291 vertices), alpha
   statistics at alpha 0, +-1, +-2, +-1/2 (as floats and as Fractions) and
-  k statistics at k = 0 .. height + 1.
+  k statistics at k = 0 .. height + 1;
+- a parameter dump: for every statistic, every n, alpha and k of
+  ``PARAM_DUMP`` (valid ones, spellings of one value, and values of the
+  wrong type that equal a valid one, such as True, 2.0 and Decimal(1)),
+  the value or the error of ``compute`` on a cold engine and on one warmed
+  by ``fill``, of ``composite_value`` at 3 * 4 and of ``oracle_value`` on
+  the tree of 12.
 """
 
 import os
@@ -65,6 +76,37 @@ for n in [*range(1, 1201), 2**1000, 3**300, 3**40 * 5**40 * 7**30]:
         for kw in cases:
             v = oracle_value(an, name, **kw)
             print(n, name.value, kw, type(v).__name__, repr(v))
+"""
+
+PARAM_DUMP = """
+from decimal import Decimal
+from fractions import Fraction
+from matula.oracle import analyze, oracle_value
+from matula.stats import STATISTICS, StatsEngine
+from matula.tree import decode
+ns = (0, True, 2.0, 12)
+alphas = (None, 0, 1, 1.0, Fraction(2, 2), 2, -1, -0.5, Fraction(-1, 2), True, "1", Decimal(1))
+ks = (None, 0, 1, 3, -1, 2.0, True, "2")
+an = analyze(decode(12))
+
+def show(call, *args, **kw):
+    try:
+        v = call(*args, **kw)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{type(v).__name__} {v!r}"
+
+for name in STATISTICS:
+    warm = StatsEngine()
+    warm.fill(name, 1, 20)
+    for alpha in alphas:
+        print(name.value, repr(alpha), "composite", show(StatsEngine().composite_value, name, 3, 4, alpha))
+        for k in ks:
+            print(name.value, repr(alpha), repr(k), "oracle", show(oracle_value, an, name, alpha=alpha, k=k))
+            for n in ns:
+                for label, engine in (("cold", StatsEngine()), ("warm", warm)):
+                    print(name.value, repr(alpha), repr(k), repr(n), label,
+                          show(engine.compute, name, n, alpha=alpha, k=k))
 """
 
 
@@ -102,7 +144,13 @@ def _commands(tree: Path) -> list[list[str]]:
                  ["encode", NEAR_CEILING_TREE], ["stat", "V", "999999866000004473"],
                  ["decode", "83528415823579"], ["stat", "PV", "52443337377833"],
                  ["stat", "V", "1000000007"], ["stat", "V", str(10**51 + 7)]]
-    return [["-m", "matula", *c] for c in commands] + [[str(RECORDER)], ["-c", ORACLE_DUMP]]
+    for name in ("V", "A_ALPHA", "HYPER_W", "POLARITY", "LEVEL_COUNT"):
+        commands += [["stat", name, "0"], ["stat", name, "0", "--k", "1"],
+                     ["stat", name, "0", "--alpha", "2"]]
+    commands += [["stat", "LEVEL_COUNT", "360"], ["table", "LEVEL_COUNT", "1", "5000", "--k", "2"],
+                 ["table", "POLARITY", "1", "5000", "--k", "0"]]
+    return [["-m", "matula", *c] for c in commands] + [
+        [str(RECORDER)], ["-c", ORACLE_DUMP], ["-c", PARAM_DUMP]]
 
 
 def main() -> int:

@@ -452,6 +452,8 @@ def test_one_shot_commands_import_only_what_they_run():
         (["stat", "A_ALPHA", "360", "--alpha", "1/2"], ["fractions", "matula.stats"]),
         (["table", "V", "1", "50"], ["fractions", "matula.stats"]),
         (["stat", "WP", "360"], ["fractions", "matula.poly", "matula.stats"]),
+        (["stat", "HYPER_W", "360"], ["fractions", "matula.stats"]),
+        (["table", "EXIT_SUM", "1", "5"], ["fractions", "matula.stats"]),
     ]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     for argv, loaded in cases:

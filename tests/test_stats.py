@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -372,6 +373,21 @@ def test_a_bool_alpha_is_refused_cold_and_warm(warm):
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_non_finite_alpha_is_refused_cold_and_warm(warm):
+    engine = _engine(warm)
+    an = analyze(decode(12))
+    for name in (S.A_ALPHA, S.R_ALPHA):
+        for alpha in (math.inf, -math.inf, math.nan):
+            message = f"^alpha must be a finite number, got {alpha!r}$"
+            with pytest.raises(InvalidInput, match=message):
+                engine.compute(name, 12, alpha=alpha)
+            with pytest.raises(InvalidInput, match=message):
+                engine.composite_value(name, 3, 4, alpha=alpha)
+            with pytest.raises(InvalidInput, match=message):
+                oracle_value(an, name, alpha=alpha)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_memo_hits_refuse_parameters_like_cold_calls(warm):
     engine = _engine(warm)
     cases = [
@@ -384,10 +400,16 @@ def test_memo_hits_refuse_parameters_like_cold_calls(warm):
         (S.POLARITY, {"k": -1}, "k must be >= 0, got -1"),
         (S.LEVEL_COUNT, {"k": -1}, "k must be >= 0, got -1"),
         (S.LEVEL_COUNT, {}, "LEVEL_COUNT requires k"),
+        # Decimal(1) == 1, as a key too, but it is no alpha
+        (S.A_ALPHA, {"alpha": Decimal(1)}, "alpha must be a number, got Decimal('1')"),
+        (S.R_ALPHA, {"alpha": Decimal(1)}, "alpha must be a number, got Decimal('1')"),
     ]
     for name, kwargs, message in cases:
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             engine.compute(name, 12, **kwargs)
+        if "alpha" in kwargs:  # composite_value takes no k
+            with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+                engine.composite_value(name, 3, 4, **kwargs)
     with pytest.raises(InvalidInput, match="^V takes no alpha parameter$"):
         engine.composite_value(S.V, 3, 4, alpha=1)
 
@@ -396,11 +418,16 @@ def test_memo_hits_refuse_parameters_like_cold_calls(warm):
 def test_engine_and_oracle_refuse_a_bad_k_alike(warm):
     engine = _engine(warm)
     an = analyze(decode(9))
+
+    class Int(int):
+        pass
+
     cases = [
         (2.0, "k must be an integer, got 2.0"),
         ("2", "k must be an integer, got '2'"),
         (True, "k must be an integer, got True"),
         (-1, "k must be >= 0, got -1"),
+        (Int(2), "k must be an integer, got 2"),  # == 2, as a key too
     ]
     for name in (S.POLARITY, S.LEVEL_COUNT):
         for k, message in cases:
@@ -408,6 +435,9 @@ def test_engine_and_oracle_refuse_a_bad_k_alike(warm):
                 engine.compute(name, 9, k=k)
             with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
                 oracle_value(an, name, k=k)
+        # composite_value takes no k, and a k statistic has no split to check
+        with pytest.raises(InvalidInput, match=f"^{name.value} has no composite-case rule$"):
+            engine.composite_value(name, 3, 3)
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 2, 3])
@@ -447,6 +477,20 @@ def test_integer_alpha_past_the_power_bound_is_invalid_input(name):
         with pytest.raises(InvalidInput, match=rf"^2\*\*{alpha} would exceed"):
             engine.fill(name, 1, 8, alpha=alpha)
     assert engine.compute(name, 2, alpha=10**12) == 1  # the one degree is 1
+
+
+@pytest.mark.parametrize("name", [S.A_ALPHA, S.R_ALPHA])
+def test_the_oracle_refuses_the_powers_the_engine_refuses(name):
+    largest = _POWER_BITS // 2  # on the path 3 every base is 1 or 2
+    an = analyze(decode(3))
+    assert oracle_value(an, name, alpha=largest) == StatsEngine().compute(name, 3, alpha=largest)
+    for alpha in (largest + 1, -largest - 1, 10**12):
+        with pytest.raises(InvalidInput) as want:
+            StatsEngine().compute(name, 3, alpha=alpha)
+        assert str(want.value).startswith(f"2**{alpha} would exceed")
+        with pytest.raises(InvalidInput, match=f"^{re.escape(str(want.value))}$"):
+            oracle_value(an, name, alpha=alpha)
+    assert oracle_value(analyze(decode(2)), name, alpha=10**12) == 1  # every base is 1
 
 
 def test_composite_value_split_guard(engine):
