@@ -221,7 +221,7 @@ def _power_sum(bases, a):
     refused as the engine refuses it, before any power is made.
     """
     if isinstance(a, float):
-        return float(sum(float(b) ** a for b in bases))
+        return float(sum(stats._float_power(b, a) for b in bases))
     bases = list(bases)
     stats._check_power(max(bases, default=1), a)
     if a >= 0:

@@ -51,7 +51,6 @@ class PrimeSieve:
             raise InvalidInput("ceiling must be >= initial_bound")
         self._ceiling = ceiling
         self._state: tuple | None = None
-        self._factor_cache: dict[int, Factorization] = {}
         self._nth_cache: dict[int, int] = {1: 2}  # answered nth_prime calls
         self._pi_cache: dict[int, int] = {}  # pi(x) past the sieve
         self._lock = threading.Lock()
@@ -132,12 +131,9 @@ class PrimeSieve:
 
     def factorize(self, n: int) -> Factorization:
         """Trial division by ``small``, then Miller–Rabin proves cofactors prime and
-        rho splits them; results are cached."""
+        rho splits them."""
         if n < 1:
             raise InvalidInput(f"cannot factorize {n}; need n >= 1")
-        cached = self._factor_cache.get(n)
-        if cached is not None:
-            return cached
         small, c = (self._state or self._built())[3], self._ceiling
         k = (n & -n).bit_length() - 1  # 2 divides n k times
         m, found = n >> k, [2] * k
@@ -160,8 +156,7 @@ class PrimeSieve:
             msg = f"factoring {n} needs primes past the ceiling {c}"
             raise CapacityExceeded(msg, needed=root, limit=c)
         factors = tuple((q, found.count(q)) for q in sorted(set(found)))
-        result = self._factor_cache[n] = Factorization(factors, len(found))
-        return result
+        return Factorization(factors, len(found))
 
     def _split(self, m: int) -> int:
         """A factor 1 < d < m of m, or 0 when m is prime or past every bound; below

@@ -49,7 +49,6 @@ import enum
 import functools
 import math
 import struct
-import threading
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -416,17 +415,21 @@ def _check_power(base: int, alpha: int) -> None:
                            f"alpha {alpha} is too large")
 
 
+def _float_power(base: int, alpha: float) -> float:
+    """base**alpha at a float alpha, refused where it overflows a float."""
+    try:
+        return float(base) ** alpha
+    except OverflowError:
+        raise InvalidInput(f"{base}**{alpha} overflows a float; "
+                           f"alpha {alpha} is too large") from None
+
+
 @functools.lru_cache(maxsize=4096)  # the rules ask for few distinct powers
 def _pow(base: int, alpha):
     if isinstance(alpha, int):
         _check_power(base, alpha)
         return base**alpha if alpha >= 0 else Fraction(base) ** alpha
-    try:
-        return float(base) ** alpha
-    except OverflowError:
-        raise InvalidInput(
-            f"{base}**{alpha} overflows a float; alpha {alpha} is too large"
-        ) from None
+    return _float_power(base, alpha)
 
 
 def _check_n(n) -> None:
@@ -475,7 +478,10 @@ def _params(stat: Statistic, alpha, k, n=_NO_N, default=True, check_k=True):
             raise InvalidInput(f"alpha must be a number{got}")
         if isinstance(alpha, float) and not math.isfinite(alpha):
             raise InvalidInput(f"alpha must be a finite number, got {alpha!r}")
-        return int(alpha) if alpha == int(alpha) else float(alpha), None
+        try:
+            return int(alpha) if alpha == int(alpha) else float(alpha), None
+        except OverflowError:  # a Fraction past the float range
+            raise InvalidInput(f"alpha {alpha} overflows a float") from None
     if check_k:
         k = stat.default if k is None else k
         if k is None:
@@ -717,15 +723,9 @@ class StatsEngine:
         return value if a is None else _finish(value, a)
 
 
-_default_engine: StatsEngine | None = None
-_default_engine_lock = threading.Lock()
+_default_engine = StatsEngine()  # cheap: the memos fill on use
 
 
 def default_engine() -> StatsEngine:
     """Shared engine for one-shot use (CLI); its memo grows unboundedly."""
-    global _default_engine
-    if _default_engine is None:
-        with _default_engine_lock:
-            if _default_engine is None:
-                _default_engine = StatsEngine()
     return _default_engine

@@ -32,6 +32,9 @@ per difference and exits 1 if there is any, else 0.
   whose errors show which check comes first, and ``stat LEVEL_COUNT
   360``, ``table LEVEL_COUNT 1 5000 --k 2`` and ``table POLARITY 1 5000
   --k 0``;
+- ``verify V`` and ``verify E`` on the b-files under ``tests/fixtures``;
+- alphas past a float: ``stat R_ALPHA 9 --alpha <10**400>/3`` and ``stat
+  A_ALPHA 3 --alpha 1100.5``;
 - an oracle dump: the type and ``repr`` of ``oracle_value`` for every
   statistic over n <= 1200 and the trees of ``2**1000``, ``3**300`` and
   ``3**40 * 5**40 * 7**30`` (1001, 601 and 291 vertices), alpha
@@ -51,6 +54,7 @@ import sys
 from pathlib import Path
 
 RECORDER = Path(__file__).resolve().parent / "record_output_digests.py"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 # decode 999999937: encoding it needs nth_prime(50847534)
 NEAR_CEILING_TREE = "((()(())(())(())(()()())((((())))(()(())(())((()))))))"
@@ -149,6 +153,10 @@ def _commands(tree: Path) -> list[list[str]]:
                      ["stat", name, "0", "--alpha", "2"]]
     commands += [["stat", "LEVEL_COUNT", "360"], ["table", "LEVEL_COUNT", "1", "5000", "--k", "2"],
                  ["table", "POLARITY", "1", "5000", "--k", "0"]]
+    commands += [["verify", "V", str(FIXTURES / "b061775_oracle.txt")],
+                 ["verify", "E", str(FIXTURES / "b196050_oracle.txt")],
+                 ["stat", "R_ALPHA", "9", "--alpha", f"{10**400}/3"],
+                 ["stat", "A_ALPHA", "3", "--alpha", "1100.5"]]
     return [["-m", "matula", *c] for c in commands] + [
         [str(RECORDER)], ["-c", ORACLE_DUMP], ["-c", PARAM_DUMP]]
 

@@ -1,17 +1,21 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from matula import cli, stats
 from matula.cli import EXIT_MISMATCH, EXIT_OK, main, parse_bfile
 from matula.errors import MatulaError, ParseError
 from matula.oracle import analyze, oracle_value
-from matula.stats import StatName, StatsEngine
+from matula.stats import STATISTICS, StatName, StatsEngine
 from matula.tree import decode
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -171,10 +175,10 @@ def _per_n_table(name, lo, hi, bfile=False):
 @pytest.mark.parametrize("lo, hi", [(1, 300), (250, 300)])
 def test_table_range_pass_matches_per_n(capsys, monkeypatch, lo, hi):
     for name in StatName:
-        monkeypatch.setattr(stats, "_default_engine", None)  # a fresh engine
+        monkeypatch.setattr(stats, "_default_engine", StatsEngine())  # a fresh engine
         got = run(capsys, "table", name.value, str(lo), str(hi))
         assert got == _per_n_table(name, lo, hi), name
-    monkeypatch.setattr(stats, "_default_engine", None)
+    monkeypatch.setattr(stats, "_default_engine", StatsEngine())
     got = run(capsys, "table", "EDP", "1", "3", "--bfile")
     assert got == _per_n_table(StatName.EDP, 1, 3, bfile=True)
     assert got[0] == 1
@@ -188,7 +192,7 @@ def test_table_bfile_rejects_polynomials(capsys):
 
 @pytest.mark.parametrize("name", [StatName.LEVEL_COUNT, StatName.POLARITY])
 def test_table_k_matches_per_n_compute(capsys, monkeypatch, name):
-    monkeypatch.setattr(stats, "_default_engine", None)  # a fresh engine
+    monkeypatch.setattr(stats, "_default_engine", StatsEngine())  # a fresh engine
     got = run(capsys, "table", name.value, "1", "300", "--k", "2")
     engine = StatsEngine()
     want = "".join(f"{n} {engine.compute(name, n, k=2)}\n" for n in range(1, 301))
@@ -208,7 +212,7 @@ class _CountingStdout:
 
 
 def test_table_writes_in_batches(monkeypatch):
-    monkeypatch.setattr(stats, "_default_engine", None)
+    monkeypatch.setattr(stats, "_default_engine", StatsEngine())
     stdout = _CountingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["table", "V", "1", "5000"]) == EXIT_OK
@@ -220,7 +224,7 @@ def test_table_prints_the_lines_before_an_error(capsys, monkeypatch):
     # A_ALPHA at alpha -1 is 0 at n = 1, 1 at n = 2 and 1/2 at n = 3.
     argv = ["table", "A_ALPHA", "1", "10", "--bfile", "--alpha", "-1"]
     error = "error: --bfile needs an integer-valued statistic, A_ALPHA gave Fraction(1, 2)\n"
-    monkeypatch.setattr(stats, "_default_engine", None)
+    monkeypatch.setattr(stats, "_default_engine", StatsEngine())
     assert run(capsys, *argv) == (1, "1 0\n2 1\n", error)
     proc = _run_matula(argv, "-u")
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "1 0\n2 1\n", error)
@@ -399,6 +403,7 @@ def _run_matula(argv, *flags):
         ["stat", "V", "1000000007"],
         ["stat", "A_ALPHA", "7", "--alpha", "2001/2"],
         ["stat", "A_ALPHA", "3", "--alpha", "1e12"],
+        ["stat", "R_ALPHA", "9", "--alpha", f"{10**400}/3"],
     ],
     ids=[
         "zero",
@@ -407,6 +412,7 @@ def _run_matula(argv, *flags):
         "prime-past-ceiling",
         "alpha-overflow",
         "int-alpha-too-large",
+        "alpha-past-the-float-range",
     ],
 )
 def test_extreme_input_exits_without_traceback(argv):
@@ -414,6 +420,93 @@ def test_extreme_input_exits_without_traceback(argv):
     assert proc.returncode in (1, 2)
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# The CLI's input surface, for the property test below: statistic names
+# grouped by the parameter they take, then aliases and bogus names.
+_NAMES = [
+    ["A_ALPHA", "R_ALPHA", "a", " R ", "randic"],
+    ["LEVEL_COUNT", "POLARITY", "level_count"],
+    [name.value for name in StatName if STATISTICS[name].param is None],
+    ["BOGUS", "", "V2"],
+]
+_INTS = ["0", "-1", "1", "12", "360", str(2**64), str(3**200), "999999937", "1000000007",
+         "1.5", "abc", "1e3", "1_000", "\u0663"]
+_ALPHAS = [f"{10**400}/3", f"1/{10**400}", "1100.5", "-1100.5", "1/0", "nan", "inf", "2",
+           "-1/2", "0"]
+_KS = ["-1", "0", "3"]
+_BFILES = ["good", "malformed", "missing", "not-utf8"]  # made by the test
+
+
+@st.composite
+def _argv(draw):
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+    command = pick(["stat", "table", "decode", "encode", "verify", "selftest", "bogus"])
+    group = draw(st.integers(0, 3))
+    name = pick(_NAMES[group])
+    params = []  # mostly the one the name takes, sometimes the other
+    if draw(st.integers(0, 3)) > (0 if group == 0 else 2):
+        params += ["--alpha", pick(_ALPHAS)]
+    if draw(st.integers(0, 3)) > (0 if group == 1 else 2):
+        params += ["--k", pick(_KS)]
+    if command == "decode":
+        return [command, pick(_INTS), *pick([[], ["--format", "json"], ["--format", "dot"],
+                                             ["--format", "xml"]])]
+    if command == "encode":
+        return [command, pick(["(()(()))", "()", "(()", "x", "", "(())()"])]
+    if command == "stat":
+        return [command, name, pick(_INTS), *params]
+    if command == "table":  # at most 50 lines
+        lo = pick(["-1", "0", "1", "97", "abc", str(2**64)])
+        hi = str(int(lo) + draw(st.integers(-1, 49))) if lo != "abc" else "5"
+        return [command, name, lo, hi, *params, *pick([[], ["--bfile"]])]
+    if command == "verify":
+        return [command, name, pick(_BFILES), *pick([[], ["--limit", "5"], ["--limit", "-1"]])]
+    if command == "selftest":
+        return [command, "--max-n", pick(["0", "1", "10", "x"]), "--seed", pick(["0", "-3", "x"])]
+    return [command]
+
+
+def _write_bfiles(folder: Path, name: str) -> dict:
+    """The paths of _BFILES; the good one holds name's values over n <= 30."""
+    lines = []
+    try:
+        for n in range(1, 31):
+            lines.append(f"{n} {StatsEngine().compute(StatName.from_string(name), n)}\n")
+    except MatulaError:  # verify fails at this n too (or rejects the name)
+        lines.append(f"{n} 0\n")
+    paths = {b: folder / b for b in _BFILES}
+    paths["good"].write_text("".join(lines))
+    paths["malformed"].write_text("1 1\n2\n")
+    paths["not-utf8"].write_bytes(b"1 1\n2 \xff\n")
+    return paths
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_any_argv_exits_with_a_code_and_at_most_one_error_line(tmp_path, argv):
+    if argv[0] == "verify":
+        argv[2] = str(_write_bfiles(tmp_path, argv[1])[argv[2]])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+    if code == 0 and argv[0] == "stat":
+        args = cli.build_parser().parse_args(argv)
+        want = StatsEngine().compute(args.name, args.n, alpha=args.alpha, k=args.k)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out.getvalue() == f"{want}\n", argv
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_fresh_process_answers_a_power_past_the_ceiling():
@@ -513,7 +606,7 @@ def test_outputs_match_the_recorded_digests(monkeypatch):
     # per-n `compute` on a cold engine (sparse); see record_output_digests.py.
     from record_output_digests import dense_digests, sparse_digests
 
-    monkeypatch.setattr(stats, "_default_engine", None)
+    monkeypatch.setattr(stats, "_default_engine", StatsEngine())
     want = json.loads((FIXTURES / "output_digests.json").read_text())
     assert dense_digests() == want["dense"]
     assert sparse_digests() == want["sparse"]

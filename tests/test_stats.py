@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -376,9 +377,13 @@ def test_a_bool_alpha_is_refused_cold_and_warm(warm):
 def test_a_non_finite_alpha_is_refused_cold_and_warm(warm):
     engine = _engine(warm)
     an = analyze(decode(12))
+    huge = Fraction(10**400, 3)  # no float holds it
+    cases = [(a, f"alpha must be a finite number, got {a!r}")
+             for a in (math.inf, -math.inf, math.nan)]
+    cases.append((huge, f"alpha {huge} overflows a float"))
     for name in (S.A_ALPHA, S.R_ALPHA):
-        for alpha in (math.inf, -math.inf, math.nan):
-            message = f"^alpha must be a finite number, got {alpha!r}$"
+        for alpha, message in cases:
+            message = f"^{re.escape(message)}$"
             with pytest.raises(InvalidInput, match=message):
                 engine.compute(name, 12, alpha=alpha)
             with pytest.raises(InvalidInput, match=message):
@@ -484,13 +489,17 @@ def test_the_oracle_refuses_the_powers_the_engine_refuses(name):
     largest = _POWER_BITS // 2  # on the path 3 every base is 1 or 2
     an = analyze(decode(3))
     assert oracle_value(an, name, alpha=largest) == StatsEngine().compute(name, 3, alpha=largest)
-    for alpha in (largest + 1, -largest - 1, 10**12):
+    exact, inexact = "would exceed", "overflows a float"
+    for alpha, refusal in ((largest + 1, exact), (-largest - 1, exact), (10**12, exact),
+                           (1100.5, inexact)):
         with pytest.raises(InvalidInput) as want:
             StatsEngine().compute(name, 3, alpha=alpha)
-        assert str(want.value).startswith(f"2**{alpha} would exceed")
+        assert str(want.value).startswith(f"2**{alpha} {refusal}")
         with pytest.raises(InvalidInput, match=f"^{re.escape(str(want.value))}$"):
             oracle_value(an, name, alpha=alpha)
     assert oracle_value(analyze(decode(2)), name, alpha=10**12) == 1  # every base is 1
+    assert oracle_value(an, name, alpha=-1100.5) == 0.0
+    assert StatsEngine().compute(name, 3, alpha=-1100.5) == 0.0
 
 
 def test_composite_value_split_guard(engine):
@@ -576,15 +585,24 @@ def _line_values(engine, name, kw, lo, hi):
     return values
 
 
+def _spy_on_factorize(monkeypatch, sieve):
+    """The list of the n that sieve.factorize is asked for from now on."""
+    calls = []
+    factorize = sieve.factorize
+    monkeypatch.setattr(sieve, "factorize", lambda n: calls.append(n) or factorize(n))
+    return calls
+
+
 @pytest.mark.parametrize("lo, hi", [(1, 600), (500, 700), (97, 97)])
-def test_fill_gives_the_per_n_values(lo, hi):
+def test_fill_gives_the_per_n_values(monkeypatch, lo, hi):
     for name, kw in _fill_cases():
         sieve = PrimeSieve(initial_bound=1000)
+        factorized = _spy_on_factorize(monkeypatch, sieve)
         filled = StatsEngine(sieve)
         filled.fill(name, lo, hi, **kw)
         got = _line_values(filled, name, kw, lo, hi)
         if lo == 1:  # neither fill nor the computes after it factorized
-            assert not sieve._factor_cache, name
+            assert not factorized, name
         assert got == _line_values(StatsEngine(), name, kw, lo, hi), (name, kw)
 
 
@@ -633,13 +651,30 @@ def test_fill_stops_at_the_sieve_ceiling():
         assert _until_capacity(filled, name, 900, 1100) == want
 
 
-def test_fill_memory_tracks_the_range():
+def test_fill_memory_tracks_the_range(monkeypatch):
     sieve = PrimeSieve()
+    factorized = _spy_on_factorize(monkeypatch, sieve)
     engine = StatsEngine(sieve)
     engine.fill(S.V, 1, 16000)
     assert sieve._limit < 10**6
-    assert not sieve._factor_cache
+    assert not factorized
     assert sorted(engine._memo["V", None]) == list(range(1, 16001))
+
+
+def test_sparse_computes_leave_no_memory_in_the_prime_layer():
+    # The engine's memo keeps what it walked; the sieve keeps nothing per n.
+    sieve = PrimeSieve()
+    sieve.factorize(2)  # built before tracing
+    engine = StatsEngine(sieve)
+    tracemalloc.start()
+    try:
+        for n in range(1, 20001):
+            engine.compute(S.V, n)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    in_primes = snapshot.filter_traces([tracemalloc.Filter(True, primes.__file__)])
+    assert sum(s.size for s in in_primes.statistics("filename")) < 2**19  # 0.5 MB
 
 
 def test_fill_rejects_what_compute_rejects():
