@@ -187,6 +187,8 @@ def _cmd_table(args) -> int:
     from . import stats
 
     engine = stats.default_engine()
+    # A call that its first line would refuse is refused before the range pass.
+    stats._params(stats.STATISTICS[args.name], args.alpha, args.k, args.lo)
     engine.fill(args.name, args.lo, args.hi, alpha=args.alpha)
     write = sys.stdout.write
     batch: list[str] = []

@@ -39,8 +39,10 @@ packed statistic, and a derived statistic reads the decoded coefficients.
 ``_params`` is the one place that knows the parameter rules: which
 statistic takes alpha or k, their defaults, their normal form and every
 error about them; the oracle resolves through it too.  ``compute`` runs
-it once per call signature and keeps the outcome, the memo to read and
-how to finish its value, in ``StatsEngine._calls``.
+it once per call signature and keeps the outcome, the memo to read, the
+plan that fills it and how to finish its value, in ``StatsEngine._calls``.
+The engine owns every table its rules read: the memos, and each plan's
+powers b**alpha; the module keeps no cache of its own.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class Statistic(NamedTuple):
     statistic's name gives its memo (at the same alpha if it takes one), a
     (name, alpha) pair its memo at that alpha, "OMEGA" the memo of Omega(m)
     (the degree of the root of m's tree) and "POW" the function
-    b -> b**alpha.
+    b -> b**alpha, cached in the plan.
     A ``packed`` statistic's value is a polynomial, memoized packed and
     returned as an ``IntPolynomial``.  A derived statistic has no
     recursion: its value is ``derive(g, k)``, g the coefficient tuple of
@@ -326,16 +328,12 @@ def _simplify(v):
     return v
 
 
-def _finish(v, alpha):
-    """Give a value at alpha its canonical type: float at a non-integer alpha."""
-    return float(v) if isinstance(alpha, float) else _simplify(v)
-
-
 class _NotIntegral(InternalIntegrityError):
     """An exact division in a rule left a remainder.
 
-    The caller of the rule re-raises it as ``InternalIntegrityError``
-    naming the statistic and n, which the rule does not know.
+    ``_run``, the only caller of a rule, re-raises it as
+    ``InternalIntegrityError`` naming the statistic and n, which the rule
+    does not know.
     """
 
 
@@ -345,10 +343,6 @@ def _exact(num: int, den: int) -> int:
     if rem:
         raise _NotIntegral(Fraction(num, den))
     return q
-
-
-def _not_integral(stat: Statistic, n: int, exc: _NotIntegral) -> InternalIntegrityError:
-    return InternalIntegrityError(f"{stat.name}({n}) came out non-integral: {exc}")
 
 
 # Bits per coefficient of a packed polynomial.  Rules and decoding read it
@@ -386,7 +380,9 @@ def _run(entries: list, steps: Iterable[tuple[int, tuple[int, ...]]]) -> None:
 
     steps are (m, kids) in ascending m, and kids are (t,) when m = p_t is
     prime, (r, m // r) when m is composite and () at m = 1; every kid is
-    memoized before m's step.  This is the only code that fills a memo.
+    memoized before m's step.  This is the only code that applies a rule,
+    and so the only code that fills a memo and gives a value at an alpha
+    its type.
     """
     for m, kids in steps:
         for dep, a, memo, tables in entries:
@@ -397,9 +393,10 @@ def _run(entries: list, steps: Iterable[tuple[int, tuple[int, ...]]]) -> None:
                     try:
                         v = rule(*kids, *tables)
                     except _NotIntegral as exc:
-                        raise _not_integral(dep, m, exc) from None
-                if a is not None:  # else never a Fraction
-                    v = _finish(v, a)
+                        raise InternalIntegrityError(
+                            f"{dep.name}({m}) came out non-integral: {exc}") from None
+                if a is not None:  # else never a Fraction; a float alpha gives a float
+                    v = float(v) if isinstance(a, float) else _simplify(v)
                 memo[m] = v
 
 
@@ -424,7 +421,6 @@ def _float_power(base: int, alpha: float) -> float:
                            f"alpha {alpha} is too large") from None
 
 
-@functools.lru_cache(maxsize=4096)  # the rules ask for few distinct powers
 def _pow(base: int, alpha):
     if isinstance(alpha, int):
         _check_power(base, alpha)
@@ -511,8 +507,8 @@ class StatsEngine:
         self._sieve = sieve if sieve is not None else primes.default_sieve()
         self._memo: dict[tuple[str, Any], dict[int, Any]] = {}
         self._plans: dict[tuple, tuple[list, list]] = {}
-        # call signature -> (memo key, finish), once _params has passed it
-        self._calls: dict[Any, tuple[tuple[str, Any], Callable | None]] = {}
+        # call signature -> (memo, plan, finish), once _params has passed it
+        self._calls: dict[Any, tuple[dict, tuple[list, list], Callable | None]] = {}
         self._dsp = self._plan(("DSP", None))  # read by _check_degrees
 
     # -- internals ----------------------------------------------------
@@ -540,7 +536,8 @@ class StatsEngine:
                 tables = []
                 for read in _BY_NAME[name].reads:
                     if read == "POW":
-                        tables.append(lambda b, a=a: _pow(b, a))
+                        # the rules ask for few distinct powers
+                        tables.append(functools.cache(lambda b, a=a: _pow(b, a)))
                         continue
                     if isinstance(read, tuple):
                         read_key = read
@@ -641,21 +638,20 @@ class StatsEngine:
             )
         return v
 
-    def _call(self, stat: Statistic, n, alpha, k) -> tuple[tuple[str, Any], Callable | None]:
-        """(memo key, finish) of a call of stat, once ``_params`` passes it at n.
+    def _call(self, stat: Statistic, n, alpha, k) -> tuple:
+        """(memo, plan, finish) of a call of stat, once ``_params`` passes it at n.
 
-        ``compute`` returns the value v memoized at n under the key as it
-        is, or as finish(n, v): a derived statistic's rule, a packed
+        ``compute`` returns the value v at n in memo, which plan fills, as
+        it is, or as finish(n, v): a derived statistic's rule, a packed
         statistic's view or a multiplicative statistic's DSP check.
         """
         alpha, k = _params(stat, alpha, k, n)
-        key = (stat.reads[0], None) if stat.derive else (stat.name, alpha)
-        self._plan(key)  # makes the memo
+        plan = self._plan((stat.reads[0], None) if stat.derive else (stat.name, alpha))
         if stat.derive is not None:
-            return key, lambda n, g: stat.derive(_slots(g), k)
+            return plan[1][0], plan, lambda n, g: stat.derive(_slots(g), k)
         if stat.degree_power is not None:
-            return key, functools.partial(self._check_degrees, stat)
-        return key, (lambda n, v: _view(v)) if stat.packed else None
+            return plan[1][0], plan, functools.partial(self._check_degrees, stat)
+        return plan[1][0], plan, (lambda n, v: _view(v)) if stat.packed else None
 
     # -- public operations ---------------------------------------------
 
@@ -676,11 +672,11 @@ class StatsEngine:
             call = self._call(stat, n, alpha, k)
             if signature is not None:
                 self._calls[signature] = call
-        key, finish = call
-        v = self._memo[key].get(n) if type(n) is int else None  # the live memo
+        memo, plan, finish = call
+        v = memo.get(n) if type(n) is int else None
         if v is None:
             _check_n(n)
-            v = self._eval(self._plan(key), n)
+            v = self._eval(plan, n)
         return v if finish is None else finish(n, v)
 
     def fill(self, name: StatName, lo: int, hi: int, alpha=None) -> None:
@@ -702,6 +698,8 @@ class StatsEngine:
 
         Sub-values are taken from the canonical (memoized) recursion; this
         exists so split-invariance can be checked against arbitrary splits.
+        The rule runs through ``_run`` into a memo of its own, so no memo of
+        the engine ever holds a value of a split that is not canonical.
         """
         if r < 2 or s < 2:
             raise InvalidInput("both parts of a split must be >= 2")
@@ -714,13 +712,9 @@ class StatsEngine:
         plan = self._plan((stat.name, a))
         self._eval(plan, r)
         self._eval(plan, s)
-        try:
-            value = stat.composite(r, s, *plan[0][0][3])
-        except _NotIntegral as exc:
-            raise _not_integral(stat, r * s, exc) from None
-        if stat.packed:
-            return _view(value)
-        return value if a is None else _finish(value, a)
+        split: dict[int, Any] = {}
+        _run([(stat, a, split, plan[0][0][3])], [(r * s, (r, s))])
+        return _view(split[r * s]) if stat.packed else split[r * s]
 
 
 _default_engine = StatsEngine()  # cheap: the memos fill on use

@@ -32,6 +32,10 @@ per difference and exits 1 if there is any, else 0.
   whose errors show which check comes first, and ``stat LEVEL_COUNT
   360``, ``table LEVEL_COUNT 1 5000 --k 2`` and ``table POLARITY 1 5000
   --k 0``;
+- ``table``'s parameter errors, which it gives before its range pass:
+  ``table LEVEL_COUNT 1 50``, ``table HYPER_W 1 50 --k 1``, ``table V 1 50
+  --k 1``, ``table HYPER_W 1 50 --alpha 2 --k 1`` and ``table R_ALPHA 1 50
+  --alpha <10**400>/3``;
 - ``verify V`` and ``verify E`` on the b-files under ``tests/fixtures``;
 - alphas past a float: ``stat R_ALPHA 9 --alpha <10**400>/3`` and ``stat
   A_ALPHA 3 --alpha 1100.5``;
@@ -45,7 +49,12 @@ per difference and exits 1 if there is any, else 0.
   wrong type that equal a valid one, such as True, 2.0 and Decimal(1)),
   the value or the error of ``compute`` on a cold engine and on one warmed
   by ``fill``, of ``composite_value`` at 3 * 4 and of ``oracle_value`` on
-  the tree of 12.
+  the tree of 12;
+- a split dump: for every n <= 200 and every nontrivial divisor r of n
+  (prime r only for BV and TW, whose rules need one), the ``repr`` of
+  ``composite_value(S, r, n // r)`` or its error, for every statistic S
+  with a composite rule, A_ALPHA and R_ALPHA at alpha 1, 2, -1, -1/2 (a
+  ``Fraction``) and -0.5.
 """
 
 import os
@@ -113,6 +122,26 @@ for name in STATISTICS:
                           show(engine.compute, name, n, alpha=alpha, k=k))
 """
 
+SPLIT_DUMP = """
+from fractions import Fraction
+from matula.stats import STATISTICS, StatsEngine
+engine = StatsEngine()
+alphas = (1, 2, -1, Fraction(-1, 2), -0.5)
+for n in range(4, 201):
+    for r in range(2, n // 2 + 1):
+        if n % r:
+            continue
+        for name, stat in STATISTICS.items():
+            if stat.composite is None or stat.prime_split and any(r % d == 0 for d in range(2, r)):
+                continue
+            for alpha in alphas if stat.param == "alpha" else (None,):
+                try:
+                    v = repr(engine.composite_value(name, r, n // r, alpha))
+                except Exception as exc:
+                    v = f"{type(exc).__name__}: {exc}"
+                print(n, r, name.value, repr(alpha), v)
+"""
+
 
 def _run(tree: Path, argv: list[str], unbuffered: bool = False) -> tuple:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -153,12 +182,16 @@ def _commands(tree: Path) -> list[list[str]]:
                      ["stat", name, "0", "--alpha", "2"]]
     commands += [["stat", "LEVEL_COUNT", "360"], ["table", "LEVEL_COUNT", "1", "5000", "--k", "2"],
                  ["table", "POLARITY", "1", "5000", "--k", "0"]]
+    commands += [["table", "LEVEL_COUNT", "1", "50"], ["table", "HYPER_W", "1", "50", "--k", "1"],
+                 ["table", "V", "1", "50", "--k", "1"],
+                 ["table", "HYPER_W", "1", "50", "--alpha", "2", "--k", "1"],
+                 ["table", "R_ALPHA", "1", "50", "--alpha", f"{10**400}/3"]]
     commands += [["verify", "V", str(FIXTURES / "b061775_oracle.txt")],
                  ["verify", "E", str(FIXTURES / "b196050_oracle.txt")],
                  ["stat", "R_ALPHA", "9", "--alpha", f"{10**400}/3"],
                  ["stat", "A_ALPHA", "3", "--alpha", "1100.5"]]
     return [["-m", "matula", *c] for c in commands] + [
-        [str(RECORDER)], ["-c", ORACLE_DUMP], ["-c", PARAM_DUMP]]
+        [str(RECORDER)], ["-c", ORACLE_DUMP], ["-c", PARAM_DUMP], ["-c", SPLIT_DUMP]]
 
 
 def main() -> int:

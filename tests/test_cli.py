@@ -254,10 +254,20 @@ def test_a_closed_stdout_ends_table_quietly(flags):
     assert (proc.wait(timeout=60), err) == (1, b"")
 
 
-def test_table_k_on_a_statistic_without_k_fails_as_stat_does(capsys):
+def test_table_k_on_a_statistic_without_k_fails_as_stat_does(capsys, monkeypatch):
     got = run(capsys, "table", "V", "1", "5", "--k", "1")
     assert got == run(capsys, "stat", "V", "1", "--k", "1")
     assert got == (1, "", "error: V takes no k parameter\n")
+    # A bad k is refused before the range pass, which takes seconds here.
+    filled = []
+    monkeypatch.setattr(StatsEngine, "fill", lambda *args, **kw: filled.append(args))
+    for argv, message in (
+        (("LEVEL_COUNT", "1", "2000000"), "LEVEL_COUNT requires k"),
+        (("HYPER_W", "1", "2000000", "--k", "1"), "HYPER_W takes no k parameter"),
+        (("V", "1", "2000000", "--k", "1"), "V takes no k parameter"),
+    ):
+        assert run(capsys, "table", *argv) == (1, "", f"error: {message}\n")
+    assert filled == []
 
 
 def test_verify_fixture_vertknown(capsys):

@@ -208,14 +208,14 @@ def test_recursions_match_oracle_sample():
 
 def test_compare_all_flags_disagreement():
     engine = StatsEngine()
-    engine._memo["W", None] = {9: 21}  # sabotage the memo
+    engine._memo.setdefault(("W", None), {})[9] = 21  # sabotage the memo
     problems = compare_all(9, engine)
     assert any("W" in p for p in problems)
 
 
 def test_compare_all_flags_float_alpha_disagreement():
     engine = StatsEngine()
-    engine._memo["R_ALPHA", -0.5] = {9: 9.5}  # the float-alpha memo
+    engine._memo.setdefault(("R_ALPHA", -0.5), {})[9] = 9.5  # the float-alpha memo
     problems = compare_all(9, engine)
     assert len(problems) == 1
     assert problems[0].startswith("n=9 R_ALPHA[alpha=-0.5]: recursion 9.5 != oracle")
@@ -224,7 +224,7 @@ def test_compare_all_flags_float_alpha_disagreement():
 def test_compare_all_flags_level_count_disagreement():
     engine = StatsEngine()
     # 9 is the 5-vertex path rooted at its centre: PWP(9) = 2x + 2x^2
-    engine._memo["PWP", None] = {9: (2 << 64) | (3 << 128)}  # 2x + 3x^2, packed
+    engine._memo.setdefault(("PWP", None), {})[9] = (2 << 64) | (3 << 128)  # 2x + 3x^2, packed
     problems = compare_all(9, engine)
     assert "n=9 LEVEL_COUNT[k=2]: recursion 3 != oracle 2" in problems
     assert not any("LEVEL_COUNT[k=1]" in p for p in problems)

@@ -19,7 +19,7 @@ from matula.errors import (
     InvalidInput,
     UnsupportedName,
 )
-from matula.oracle import analyze, compare_all, oracle_value
+from matula.oracle import _float_close, analyze, compare_all, oracle_value
 from matula.poly import X, ZERO, IntPolynomial
 from matula.primes import PrimeSieve
 from matula.stats import (
@@ -227,7 +227,7 @@ def test_degree_check_catches_a_wrong_memoized_value(name, warm):
     engine = StatsEngine()
     if warm:
         assert engine.compute(name, 60) != 7
-    engine._memo[name.value, None] = {60: 7}
+    engine._memo.setdefault((name.value, None), {})[60] = 7
     message = rf"^{name.value}\(60\): recursion gave 7, degree multiset gives \d+$"
     with pytest.raises(InternalIntegrityError, match=message):
         engine.compute(name, 60)
@@ -239,7 +239,7 @@ def test_inexact_division_is_an_integrity_error(name, n):
     # Omega(3) is 1; at 3 the rules would then divide by 3 where the
     # value is no multiple of 3, at 5 = p_3 (t = 3) and at 6 = 2 * 3.
     engine = StatsEngine()
-    engine._memo["OMEGA", None] = {3: 3}
+    engine._memo.setdefault(("OMEGA", None), {})[3] = 3
     message = rf"^{name.value}\({n}\) came out non-integral: \d+/\d+$"
     with pytest.raises(InternalIntegrityError, match=message):
         engine.compute(name, n)
@@ -484,22 +484,46 @@ def test_integer_alpha_past_the_power_bound_is_invalid_input(name):
     assert engine.compute(name, 2, alpha=10**12) == 1  # the one degree is 1
 
 
+# One list of alphas for the engine, the split and the oracle: exact and
+# float, past the float range, and on either side of the exact power bound.
+_ALPHAS = (1, 2, -1, Fraction(-1, 2), -0.5, 1100.5, -1100.5, Fraction(10**400, 3),
+           _POWER_BITS // 2, _POWER_BITS // 2 + 1, -(_POWER_BITS // 2 + 1), 10**12)
+
+
+def _outcome(call, *args, **kw):
+    try:
+        return call(*args, **kw)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("name", [S.A_ALPHA, S.R_ALPHA])
 def test_the_oracle_refuses_the_powers_the_engine_refuses(name):
-    largest = _POWER_BITS // 2  # on the path 3 every base is 1 or 2
-    an = analyze(decode(3))
-    assert oracle_value(an, name, alpha=largest) == StatsEngine().compute(name, 3, alpha=largest)
+    # Every power base of 3 (a path rooted at an end) and of 4 (a root with
+    # two leaves) is 1 or 2, so a refusal names the same base on all sides.
+    outcomes = {}
+    for n in (3, 4):
+        an = analyze(decode(n))
+        for alpha in _ALPHAS:
+            want = outcomes[n, alpha] = _outcome(StatsEngine().compute, name, n, alpha=alpha)
+            sides = [_outcome(oracle_value, an, name, alpha=alpha)]
+            if n == 4:
+                sides.append(_outcome(StatsEngine().composite_value, name, 2, 2, alpha=alpha))
+            for got in sides:
+                if type(want) is float:
+                    assert type(got) is float and _float_close(got, want), (n, alpha, got)
+                else:
+                    assert (type(got), got) == (type(want), want), (n, alpha)
+    largest, big = _POWER_BITS // 2, Fraction(10**400, 3)
     exact, inexact = "would exceed", "overflows a float"
-    for alpha, refusal in ((largest + 1, exact), (-largest - 1, exact), (10**12, exact),
-                           (1100.5, inexact)):
-        with pytest.raises(InvalidInput) as want:
-            StatsEngine().compute(name, 3, alpha=alpha)
-        assert str(want.value).startswith(f"2**{alpha} {refusal}")
-        with pytest.raises(InvalidInput, match=f"^{re.escape(str(want.value))}$"):
-            oracle_value(an, name, alpha=alpha)
+    for n in (3, 4) if name is S.R_ALPHA else (3,):  # A_ALPHA at 4 reads only 1**alpha
+        for alpha, refusal in ((largest + 1, exact), (-largest - 1, exact), (10**12, exact),
+                               (1100.5, inexact)):
+            assert outcomes[n, alpha][0] is InvalidInput
+            assert outcomes[n, alpha][1].startswith(f"2**{alpha} {refusal}")
+        assert outcomes[n, -1100.5] == 0.0
+    assert outcomes[3, big] == outcomes[4, big] == (InvalidInput, f"alpha {big} overflows a float")
     assert oracle_value(analyze(decode(2)), name, alpha=10**12) == 1  # every base is 1
-    assert oracle_value(an, name, alpha=-1100.5) == 0.0
-    assert StatsEngine().compute(name, 3, alpha=-1100.5) == 0.0
 
 
 def test_composite_value_split_guard(engine):
@@ -509,6 +533,11 @@ def test_composite_value_split_guard(engine):
     assert engine.composite_value(S.BV, 3, 4) == engine.compute(S.BV, 12)
     with pytest.raises(InvalidInput):
         engine.composite_value(S.V, 1, 12)
+    # A split's value stays out of the memos: only canonical values go there.
+    fresh = StatsEngine()
+    assert (fresh.composite_value(S.W, 6, 2), fresh.composite_value(S.BV, 3, 4)) == (18, 1)
+    assert not any(12 in memo for memo in fresh._memo.values())
+    assert fresh.compute(S.W, 12) == StatsEngine().compute(S.W, 12)
 
 
 def test_composite_value_rejects_what_compute_rejects(engine):
