@@ -4,19 +4,16 @@ Subcommands: decode, encode, stat, table, verify, selftest.  Exit codes:
 0 success, 1 computation error, 2 usage error, 3 verification mismatch.
 Each command imports the modules it runs when it runs, so that `decode`
 and `encode` load no statistics and `stat` loads no trees; `selftest`
-loads its modules before argparse.
+loads its modules before it builds the parser.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import MatulaError, ParseError
-
-if TYPE_CHECKING:
-    import argparse
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -64,19 +61,13 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     return entries
 
 
-def _type_error(message: str) -> Exception:
-    from argparse import ArgumentTypeError  # loaded by then: types run while parsing
-
-    return ArgumentTypeError(message)
-
-
 def _stat_name(raw: str):
     from .stats import StatName
 
     try:
         return StatName.from_string(raw)
     except MatulaError:
-        raise _type_error(f"unknown statistic name {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"unknown statistic name {raw!r}") from None
 
 
 def _alpha(raw: str):
@@ -85,14 +76,14 @@ def _alpha(raw: str):
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError):
-        raise _type_error(f"cannot parse alpha {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse alpha {raw!r}") from None
 
 
 def _int_arg(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _type_error(f"expected an integer, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
 
 
 def _int_at_least(minimum: int):
@@ -101,17 +92,13 @@ def _int_at_least(minimum: int):
     def parse(raw: str) -> int:
         value = _int_arg(raw)
         if value < minimum:
-            raise _type_error(
-                f"expected an integer >= {minimum}, got {raw!r}"
-            )
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {raw!r}")
         return value
 
     return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="matula",
         description="Matula numbers: decode/encode rooted trees and compute tree statistics.",
@@ -285,9 +272,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["selftest"]:
-        # Compiled before argparse and the parser exist, the engine and then
-        # the oracle leave a lower peak RSS: 17.0 MB for `selftest --max-n
-        # 150`, against 17.6 MB when they load after the parser is built.
+        # Compiled before the parser exists, the engine and then the oracle
+        # leave a lower peak RSS: 17.1 MB for `selftest --max-n 150`, against
+        # 17.6 MB when they load after the parser is built.
         from . import stats, oracle  # noqa: F401
     parser = build_parser()
     args = parser.parse_args(argv)

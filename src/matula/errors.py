@@ -9,17 +9,19 @@ class InvalidInput(MatulaError):
     """An argument is outside the documented domain (e.g. n = 0)."""
 
 
-class CapacityExceeded(MatulaError):
+class _LimitExceeded(MatulaError):
+    def __init__(self, message: str, needed: int, limit: int):
+        super().__init__(message)
+        self.needed = needed
+        self.limit = limit
+
+
+class CapacityExceeded(_LimitExceeded):
     """A request needs primes beyond the configured sieve ceiling.
 
     ``needed`` is the prime, prime index or square root that was asked for;
     ``limit`` is the ceiling it exceeds.
     """
-
-    def __init__(self, message: str, needed: int, limit: int):
-        super().__init__(message)
-        self.needed = needed
-        self.limit = limit
 
 
 class NotPrime(MatulaError):
@@ -38,17 +40,12 @@ class InternalIntegrityError(MatulaError):
     """An internal exactness check failed; indicates a bug, not bad input."""
 
 
-class BudgetExceeded(MatulaError):
+class BudgetExceeded(_LimitExceeded):
     """A brute-force computation was asked to exceed its size budget.
 
     ``needed`` is the size that was asked for, or the size reached when
     the budget ran out; ``limit`` is the budget.
     """
-
-    def __init__(self, message: str, needed: int, limit: int):
-        super().__init__(message)
-        self.needed = needed
-        self.limit = limit
 
 
 class UnsupportedName(MatulaError):

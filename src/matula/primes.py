@@ -12,6 +12,7 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
+from functools import cache
 from itertools import accumulate, compress, count, islice
 from math import gcd, isqrt, log, prod
 from typing import Iterator, NamedTuple
@@ -20,7 +21,7 @@ from .errors import CapacityExceeded, InvalidInput, NotPrime
 
 _SEGMENT = 1 << 18  # odd numbers struck per pass of a segmented sieve
 _BLOCK = 512  # odd numbers per prime count; a query scans at most one block
-_TRIAL = 1 << 10  # factorize divides by the sieved primes below this
+_TRIAL = 1 << 10  # factorize divides by the primes below this
 # Miller–Rabin with these bases is proven below _MR_PROVEN (Sorenson–Webster 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
@@ -36,23 +37,23 @@ class Factorization(NamedTuple):
 class PrimeSieve:
     """Eratosthenes sieve over the odd numbers up to a fixed bound.
 
-    The state ``(limit, odd, counts, small)`` is built on first use and never
-    changes: ``odd[i]`` is 1 when 2i + 1 <= limit is prime, ``counts[j]`` is
-    the number of ones in ``odd[:j * _BLOCK]`` (the last entry counts them
-    all) and ``small`` lists the odd primes below min(limit, _TRIAL).
-    ``prime_index`` and ``nth_prime`` answer for primes up to ``ceiling``;
-    ``factorize(n)`` answers when n's prime factors above it multiply to
-    less than (ceiling + 1)**2.
+    The state ``(odd, counts)`` is built on the first ``prime_index`` or
+    ``nth_prime`` and never changes: ``odd[i]`` is 1 when 2i + 1 <= bound is
+    prime and ``counts[j]`` is the number of ones in ``odd[:j * _BLOCK]``
+    (the last entry counts them all).  ``prime_index`` and ``nth_prime``
+    answer for primes up to ``ceiling``; ``factorize(n)``, which reads no
+    table, answers when n's prime factors above it multiply to less than
+    (ceiling + 1)**2.
     """
 
     def __init__(self, initial_bound: int = 10**6, ceiling: int = 10**9):
-        self._initial = max(initial_bound, 4)
-        if ceiling < self._initial:
-            raise InvalidInput("ceiling must be >= initial_bound")
+        self._bound = max(initial_bound, 4)
+        if ceiling < self._bound:
+            raise InvalidInput(f"ceiling {ceiling} is below the sieve's bound {self._bound}")
         self._ceiling = ceiling
         self._state: tuple | None = None
         self._nth_cache: dict[int, int] = {1: 2}  # answered nth_prime calls
-        self._pi_cache: dict[int, int] = {}  # pi(x) past the sieve
+        self._pi = cache(_prime_count)  # pi(x) past the sieve
         self._lock = threading.Lock()
 
     @property
@@ -61,22 +62,17 @@ class PrimeSieve:
 
     @property
     def _limit(self) -> int:  # sieved through this value, inclusive; 1 until first used
-        return 1 if self._state is None else self._state[0]
+        return 1 if self._state is None else self._bound
 
     def _built(self) -> tuple:
         with self._lock:
             if self._state is None:
                 odd = bytearray(1)  # 1 is not prime
-                for _, flags in _segments(3, self._initial):
+                for _, flags in _segments(3, self._bound):
                     odd += flags
                 tallies = (odd.count(1, i, i + _BLOCK) for i in range(0, len(odd), _BLOCK))
-                counts = array("L", accumulate(tallies, initial=0))
-                small = list(compress(range(1, _TRIAL, 2), odd[: _TRIAL // 2]))
-                self._state = (self._initial, odd, counts, small)
+                self._state = (odd, array("L", accumulate(tallies, initial=0)))
         return self._state
-
-    def _pi(self, x: int) -> int:
-        return self._pi_cache.get(x) or self._pi_cache.setdefault(x, _prime_count(x))
 
     def nth_prime(self, m: int) -> int:
         """Return the m-th prime (1-based: nth_prime(1) == 2)."""
@@ -85,7 +81,7 @@ class PrimeSieve:
             return cached
         if m < 1:
             raise InvalidInput(f"prime index must be >= 1, got {m}")
-        limit, odd, counts, _ = self._state or self._built()
+        odd, counts = self._state or self._built()
         if m <= counts[-1] + 1:
             j = bisect_left(counts, m - 1) - 1  # block j holds the (m - 1)-th odd prime
             start = j * _BLOCK
@@ -98,10 +94,10 @@ class PrimeSieve:
         lo, hi, c = 1, 0, self._ceiling
         if m <= c:  # else p_m > m > c
             x = log(m)
-            lo = max(limit + 1, int(m * (x + log(x) - 1)))
+            lo = max(self._bound + 1, int(m * (x + log(x) - 1)))
             hi = min(c, 13 if m < 6 else int(m * (x + log(x) - 0.9484 * (m >= 39017))) + 1)
         if lo <= hi:
-            left = m - (counts[-1] + 1 if lo == limit + 1 else self._pi(lo - 1))
+            left = m - (counts[-1] + 1 if lo == self._bound + 1 else self._pi(lo - 1))
             for first, flags in _segments(lo, hi):
                 if left <= (found := flags.count(1)):
                     primes = compress(count(first, 2), flags)
@@ -116,8 +112,8 @@ class PrimeSieve:
         if p > self._ceiling:
             msg = f"indexing prime {p} needs sieving past the ceiling {self._ceiling}"
             raise CapacityExceeded(msg, needed=p, limit=self._ceiling)
-        limit, odd, counts, _ = self._state or self._built()
-        if p > limit:  # past the sieve: prove p prime, then count the primes up to it
+        odd, counts = self._state or self._built()
+        if p > self._bound:  # past the sieve: prove p prime, then count the primes up to it
             if self.factorize(p).omega != 1:
                 raise NotPrime(f"{p} is not a prime")
             return self._pi(p)
@@ -130,38 +126,38 @@ class PrimeSieve:
         return 2 + counts[j] + odd.count(1, j * _BLOCK, i)
 
     def factorize(self, n: int) -> Factorization:
-        """Trial division by ``small``, then Miller–Rabin proves cofactors prime and
+        """Trial division by ``_SMALL``, then Miller–Rabin proves cofactors prime and
         rho splits them."""
         if n < 1:
             raise InvalidInput(f"cannot factorize {n}; need n >= 1")
-        small, c = (self._state or self._built())[3], self._ceiling
+        c = self._ceiling
         k = (n & -n).bit_length() - 1  # 2 divides n k times
         m, found = n >> k, [2] * k
-        for p in small:
+        for p in _SMALL:
             if p * p > m:
                 break
             while m % p == 0:
                 m //= p
                 found.append(p)
         pending = [m] if m > 1 else []
-        while pending:  # no prime in small divides what is pending
+        while pending:  # no prime in _SMALL divides what is pending
             m = pending.pop()
-            d = m > small[-1] ** 2 and self._split(m)
-            if d:
+            if d := self._split(m):
                 pending += (d, m // d)
             else:
                 found.append(m)
-        root = isqrt(prod(q for q in found if q > c))
+        factors = tuple((q, found.count(q)) for q in sorted(set(found)))
+        root = isqrt(prod(q**e for q, e in factors if q > c))
         if root > c:
             msg = f"factoring {n} needs primes past the ceiling {c}"
             raise CapacityExceeded(msg, needed=root, limit=c)
-        factors = tuple((q, found.count(q)) for q in sorted(set(found)))
         return Factorization(factors, len(found))
 
     def _split(self, m: int) -> int:
-        """A factor 1 < d < m of m, or 0 when m is prime or past every bound; below
-        (ceiling + 1)**2, what rho leaves is divided by every prime up to its root."""
-        probable = _probable_prime(m)
+        """A factor 1 < d < m of the m that no prime in ``_SMALL`` divides, or 0 when
+        m is prime or past every bound; below (ceiling + 1)**2, what rho leaves is
+        divided by every prime up to its root."""
+        probable = m < _SMALL[-1] ** 2 or _probable_prime(m)
         if probable and m < _MR_PROVEN:
             return 0
         d = 0 if probable else _rho(m, 16 * isqrt(self._ceiling) + 4096)
@@ -274,6 +270,7 @@ def smallest_prime_factors(lo: int, hi: int) -> Iterator[int]:
         del spf  # before the next segment's list exists
 
 
+_SMALL = tuple(_primes(3, _TRIAL))  # what factorize divides by first
 _default = PrimeSieve()  # cheap: a sieve is built on first use
 
 

@@ -509,7 +509,6 @@ class StatsEngine:
         self._plans: dict[tuple, tuple[list, list]] = {}
         # call signature -> (memo, plan, finish), once _params has passed it
         self._calls: dict[Any, tuple[dict, tuple[list, list], Callable | None]] = {}
-        self._dsp = self._plan(("DSP", None))  # read by _check_degrees
 
     # -- internals ----------------------------------------------------
 
@@ -627,7 +626,7 @@ class StatsEngine:
         """
         if n < 2:
             return v
-        dsp = self._eval(self._dsp, n)
+        dsp = self._eval(self._plan(("DSP", None)), n)
         power = stat.degree_power
         check = math.prod(
             deg ** (power(deg) * count) for deg, count in enumerate(_slots(dsp)) if count

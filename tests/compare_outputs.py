@@ -54,7 +54,14 @@ per difference and exits 1 if there is any, else 0.
   (prime r only for BV and TW, whose rules need one), the ``repr`` of
   ``composite_value(S, r, n // r)`` or its error, for every statistic S
   with a composite rule, A_ALPHA and R_ALPHA at alpha 1, 2, -1, -1/2 (a
-  ``Fraction``) and -0.5.
+  ``Fraction``) and -0.5;
+- a prime dump: for each ``PrimeSieve(b, c)`` with b in 4, 1000 and 10**6
+  and c in 1000 and 10**9 (c >= b), first the ``repr`` or the error of
+  ``factorize(n)`` for n in 1..3000, 1021**2, 1031**2, 1021 * 1031,
+  ``2**400 * 3**5``, 10**6 +- 1..3, 999999937, ``1000003 *
+  999999999999999989`` and 10**51 + 7, then of ``prime_index(p)`` for p
+  within 3 of 1021, 1024, 1031, b and c, and 999999937, then of
+  ``nth_prime(m)`` for m in 170..175 and 78497..78500.
 """
 
 import os
@@ -142,6 +149,30 @@ for n in range(4, 201):
                 print(n, r, name.value, repr(alpha), v)
 """
 
+PRIME_DUMP = """
+from matula.primes import PrimeSieve
+ns = [*range(1, 3001), 1021**2, 1031**2, 1021 * 1031, 2**400 * 3**5,
+      *(10**6 + d for d in (-3, -2, -1, 1, 2, 3)), 999999937,
+      1000003 * 999999999999999989, 10**51 + 7]
+
+def show(call, x):
+    try:
+        v = repr(call(x))
+    except Exception as exc:
+        v = f"{type(exc).__name__}: {exc} {getattr(exc, 'needed', None)}"
+    print(b, c, call.__name__, x, v)
+
+for b, c in ((4, 1000), (4, 10**9), (1000, 1000), (1000, 10**9), (10**6, 10**9)):
+    sieve = PrimeSieve(b, c)
+    for n in ns:
+        show(sieve.factorize, n)
+    for p in sorted({p for x in (1021, 1024, 1031, b, c) for p in range(x - 3, x + 4)}):
+        show(sieve.prime_index, p)
+    show(sieve.prime_index, 999999937)
+    for m in (*range(170, 176), *range(78497, 78501)):
+        show(sieve.nth_prime, m)
+"""
+
 
 def _run(tree: Path, argv: list[str], unbuffered: bool = False) -> tuple:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -191,7 +222,8 @@ def _commands(tree: Path) -> list[list[str]]:
                  ["stat", "R_ALPHA", "9", "--alpha", f"{10**400}/3"],
                  ["stat", "A_ALPHA", "3", "--alpha", "1100.5"]]
     return [["-m", "matula", *c] for c in commands] + [
-        [str(RECORDER)], ["-c", ORACLE_DUMP], ["-c", PARAM_DUMP], ["-c", SPLIT_DUMP]]
+        [str(RECORDER)], ["-c", ORACLE_DUMP], ["-c", PARAM_DUMP], ["-c", SPLIT_DUMP],
+        ["-c", PRIME_DUMP]]
 
 
 def main() -> int:

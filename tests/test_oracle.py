@@ -356,6 +356,27 @@ def test_big_trees_match_the_oracle():
             assert engine.compute(S.W, n) == nx.wiener_index(nx.Graph(an.edges))
 
 
+def test_trees_of_600_to_3000_vertices_match_the_oracle():
+    """The star 2**3000 (3001 vertices) against the engine and its closed
+    forms, and 3**300 (601 vertices) through compare_all."""
+    an = analyze(decode(2**3000))
+    assert an.vertex_count == 3001
+    engine = StatsEngine()
+    star = {
+        S.V: 3001,
+        S.E: 3000,
+        S.H: 1,
+        S.W: 3000**2,
+        S.TW: 3000 * 2999,
+        S.WP: IntPolynomial((0, 3000, 3000 * 2999 // 2)),
+    }
+    for name, want in star.items():
+        assert oracle_value(an, name) == engine.compute(name, 2**3000) == want, name
+    an = analyze(decode(3**300))
+    assert an.vertex_count == 601
+    assert compare_all(3**300, engine, an) == []
+
+
 @st.composite
 def _trees(draw):
     """A parenthesized tree, children in drawn order, and its vertex count.

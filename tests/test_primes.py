@@ -137,6 +137,11 @@ def test_smallest_prime_factors_across_segment_boundaries():
 
 
 def test_fresh_sieve_stays_at_its_built_bound():
+    for bound, ceiling, least in ((2, 3, 4), (3, 3, 4), (10, 9, 10)):
+        with pytest.raises(InvalidInput) as exc:
+            PrimeSieve(bound, ceiling)
+        assert str(exc.value) == f"ceiling {ceiling} is below the sieve's bound {least}"
+    assert PrimeSieve(3, 4)._limit == PrimeSieve(10, 10)._limit == 1
     sieve = PrimeSieve(initial_bound=10, ceiling=10**6)
     assert sieve._limit == 1  # built on first use
     assert sieve.nth_prime(25) == 97
@@ -185,7 +190,7 @@ def test_cold_sieve_factorizes_what_a_warm_one_does(n, factors):
     warm.nth_prime(10)
     cold = PrimeSieve()
     assert cold.factorize(n).factors == warm.factorize(n).factors == factors
-    assert cold._limit == warm._limit == 10**6
+    assert (cold._limit, warm._limit) == (1, 10**6)  # factorize reads no table
 
 
 def test_concurrent_readers_and_growth():
@@ -349,7 +354,33 @@ def test_fresh_and_warm_sieves_agree(queries):
     backwards = PrimeSieve()
     assert [_answer(backwards, q) for q in reversed(queries)] == answers[::-1]
     assert [_answer(PrimeSieve(), q) for q in queries] == answers
-    assert warm._limit == backwards._limit == 10**6
+    # Built exactly when a prime_index or nth_prime call asked for the table
+    # (nth_prime(1) is answered without it).
+    asked = any(kind == "index" or (kind == "nth" and x % 10**6) for kind, x in queries)
+    assert warm._limit == backwards._limit == (10**6 if asked else 1)
+
+
+def _factors_or_error(sieve, n):
+    try:
+        return sieve.factorize(n)
+    except CapacityExceeded as exc:
+        return str(exc), exc.needed, exc.limit
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(1, 10**12),
+        st.sampled_from((2**400 * 3**5, 1009 * 1013, 1021 * 1031, _PQ)),
+    )
+)
+def test_factorize_reads_no_table_and_ignores_the_bound(n):
+    """factorize is a function of n and the ceiling alone, and builds nothing."""
+    for ceiling in (1000, 10**9):
+        sieves = [PrimeSieve(b, ceiling) for b in (4, 100, 1000, 10**6) if b <= ceiling]
+        answers = [_factors_or_error(sieve, n) for sieve in sieves]
+        assert answers == answers[:1] * len(sieves), (n, ceiling)
+        assert [sieve._limit for sieve in sieves] == [1] * len(sieves)
 
 
 def test_a_prime_past_the_sieve_times_one_past_the_ceiling():
@@ -370,7 +401,7 @@ def test_two_primes_past_a_small_ceiling_raise_cold_and_warm():
             sieve.factorize(n)
         assert str(exc.value) == f"factoring {n} needs primes past the ceiling 1000"
         assert (exc.value.needed, exc.value.limit) == (1010, 1000)
-        assert sieve._limit == 100
+        assert sieve._limit == (100 if sieve is warm else 1)
 
 
 def test_matches_sympy():

@@ -693,7 +693,7 @@ def test_fill_memory_tracks_the_range(monkeypatch):
 def test_sparse_computes_leave_no_memory_in_the_prime_layer():
     # The engine's memo keeps what it walked; the sieve keeps nothing per n.
     sieve = PrimeSieve()
-    sieve.factorize(2)  # built before tracing
+    sieve.prime_index(2)  # built before tracing
     engine = StatsEngine(sieve)
     tracemalloc.start()
     try:
