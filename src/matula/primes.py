@@ -1,17 +1,18 @@
 """Prime generation, prime indexing, and factorization.
 
-A sieve built once answers below its bound; past it, pi(x) comes from the
-Lucy_Hedgehog method, the m-th prime from a window between Dusart's bounds,
-and factors from Miller–Rabin and Pollard–Brent rho.  Every sieve strikes
-with one kernel, ``_strikes``, a segment at a time.  Answers are exact and
-never depend on earlier queries; CapacityExceeded marks the ceiling.
+A table of the odd primes grows in fixed steps to the largest number read,
+never past its bound; past the bound, pi(x) comes from Meissel's formula
+over that table, the m-th prime from a window between Dusart's bounds, and
+factors from Miller–Rabin and Pollard–Brent rho.  Every sieve strikes with
+one kernel, ``_strikes``, a segment at a time.  Answers are exact and never
+depend on earlier queries; CapacityExceeded marks the ceiling.
 """
 
 from __future__ import annotations
 
 import threading
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import accumulate, compress, count, islice
 from math import gcd, isqrt, log, prod
@@ -19,12 +20,15 @@ from typing import Iterator, NamedTuple
 
 from .errors import CapacityExceeded, InvalidInput, NotPrime
 
-_SEGMENT = 1 << 18  # odd numbers struck per pass of a segmented sieve
+_SEGMENT = 1 << 18  # odd numbers struck per pass of a segmented sieve, whole _BLOCKs
 _BLOCK = 512  # odd numbers per prime count; a query scans at most one block
+_STEP = 1 << 15  # odd numbers the table grows by at a time, a whole number of _BLOCKs
 _TRIAL = 1 << 10  # factorize divides by the primes below this
 # Miller–Rabin with these bases is proven below _MR_PROVEN (Sorenson–Webster 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
+# _WHEEL[r] counts the 1 <= t <= r prime to 2 * 3 * 5 * 7 = 210, which 48 of 210 are.
+_WHEEL = tuple(accumulate((gcd(r, 210) == 1 for r in range(1, 210)), initial=0))
 
 
 class Factorization(NamedTuple):
@@ -35,15 +39,15 @@ class Factorization(NamedTuple):
 
 
 class PrimeSieve:
-    """Eratosthenes sieve over the odd numbers up to a fixed bound.
+    """Eratosthenes sieve over the odd numbers up to a fixed bound, grown as read.
 
-    The state ``(odd, counts)`` is built on the first ``prime_index`` or
-    ``nth_prime`` and never changes: ``odd[i]`` is 1 when 2i + 1 <= bound is
-    prime and ``counts[j]`` is the number of ones in ``odd[:j * _BLOCK]``
-    (the last entry counts them all).  ``prime_index`` and ``nth_prime``
-    answer for primes up to ``ceiling``; ``factorize(n)``, which reads no
-    table, answers when n's prime factors above it multiply to less than
-    (ceiling + 1)**2.
+    The state ``(odd, counts)`` starts empty: ``odd[i]`` is 1 when 2i + 1 is
+    prime and ``counts[j]`` is the number of ones in ``odd[:j * _BLOCK]`` (the
+    last entry counts them all).  ``prime_index`` and ``nth_prime`` extend both
+    in place, ``_STEP`` odd numbers at a time, to what they read, and never
+    past the bound; an entry once written never changes.  They answer for
+    primes up to ``ceiling``; ``factorize(n)``, which reads no table, answers
+    when n's prime factors above it multiply to less than (ceiling + 1)**2.
     """
 
     def __init__(self, initial_bound: int = 10**6, ceiling: int = 10**9):
@@ -51,9 +55,9 @@ class PrimeSieve:
         if ceiling < self._bound:
             raise InvalidInput(f"ceiling {ceiling} is below the sieve's bound {self._bound}")
         self._ceiling = ceiling
-        self._state: tuple | None = None
+        self._state = (bytearray(), array("L", [0]))
         self._nth_cache: dict[int, int] = {1: 2}  # answered nth_prime calls
-        self._pi = cache(_prime_count)  # pi(x) past the sieve
+        self._pi = cache(self._meissel)  # pi(x) past the table, by x
         self._lock = threading.Lock()
 
     @property
@@ -61,27 +65,31 @@ class PrimeSieve:
         return self._ceiling
 
     @property
-    def _limit(self) -> int:  # sieved through this value, inclusive; 1 until first used
-        return 1 if self._state is None else self._bound
+    def _limit(self) -> int:  # sieved through this value, inclusive; 1 until first read
+        return max(1, min(2 * len(self._state[0]), self._bound))
 
-    def _built(self) -> tuple:
-        with self._lock:
-            if self._state is None:
-                odd = bytearray(1)  # 1 is not prime
-                for _, flags in _segments(3, self._bound):
-                    odd += flags
-                tallies = (odd.count(1, i, i + _BLOCK) for i in range(0, len(odd), _BLOCK))
-                self._state = (odd, array("L", accumulate(tallies, initial=0)))
-        return self._state
+    def _built(self, upto: int) -> tuple:
+        """The table, grown in whole steps through upto or the bound, whichever is less."""
+        odd, counts = self._state
+        if min(upto, self._bound) > 2 * len(odd):  # the table reaches 2 * len(odd)
+            with self._lock:
+                _extend(odd, counts, min(self._bound, upto | 2 * _STEP - 1))
+        return odd, counts
 
     def nth_prime(self, m: int) -> int:
         """Return the m-th prime (1-based: nth_prime(1) == 2)."""
-        cached = self._nth_cache.get(m)
-        if cached is not None:
-            return cached
         if m < 1:
             raise InvalidInput(f"prime index must be >= 1, got {m}")
-        odd, counts = self._state or self._built()
+        # m(ln m + ln ln m - 1) <= p_m for m >= 2; p_m <= m(ln m + ln ln m - 0.9484)
+        # for m >= 39017 (Dusart 1999), and without 0.9484 for m >= 6 (Rosser).
+        x, c = log(m), self._ceiling  # past the ceiling, p_m > m > c and hi = 0
+        hi = 0 if m > c else min(c, 13 if m < 6 else
+                                 int(m * (x + log(x) - 0.9484 * (m >= 39017))) + 1)
+        lo = int(m * (x + log(x) - 1)) if 1 < m <= c else 2
+        # Grow the table only where p_m may lie: p_m >= lo is past it otherwise.
+        odd, counts = self._built(hi if lo <= self._bound else 0)
+        if m in self._nth_cache:
+            return self._nth_cache[m]
         if m <= counts[-1] + 1:
             j = bisect_left(counts, m - 1) - 1  # block j holds the (m - 1)-th odd prime
             start = j * _BLOCK
@@ -89,15 +97,9 @@ class PrimeSieve:
             block = compress(count(2 * start + 1, 2), odd[start : start + _BLOCK])
             self._nth_cache.update(zip(count(counts[j] + 2), block))
             return self._nth_cache[m]
-        # m(ln m + ln ln m - 1) <= p_m for m >= 2; p_m <= m(ln m + ln ln m - 0.9484)
-        # for m >= 39017 (Dusart 1999), and without 0.9484 for m >= 6 (Rosser).
-        lo, hi, c = 1, 0, self._ceiling
-        if m <= c:  # else p_m > m > c
-            x = log(m)
-            lo = max(self._bound + 1, int(m * (x + log(x) - 1)))
-            hi = min(c, 13 if m < 6 else int(m * (x + log(x) - 0.9484 * (m >= 39017))) + 1)
+        lo = max(self._bound + 1, lo)
         if lo <= hi:
-            left = m - (counts[-1] + 1 if lo == self._bound + 1 else self._pi(lo - 1))
+            left = m - self._pi(lo - 1)
             for first, flags in _segments(lo, hi):
                 if left <= (found := flags.count(1)):
                     primes = compress(count(first, 2), flags)
@@ -112,18 +114,30 @@ class PrimeSieve:
         if p > self._ceiling:
             msg = f"indexing prime {p} needs sieving past the ceiling {self._ceiling}"
             raise CapacityExceeded(msg, needed=p, limit=self._ceiling)
-        odd, counts = self._state or self._built()
-        if p > self._bound:  # past the sieve: prove p prime, then count the primes up to it
+        if p > self._bound:  # past the table: prove p prime, then count the primes up to it
             if self.factorize(p).omega != 1:
                 raise NotPrime(f"{p} is not a prime")
             return self._pi(p)
-        if p == 2:
-            return 1
-        if p < 2 or not (p & 1 and odd[p >> 1]):
+        odd, counts = self._built(p)
+        if p != 2 and (p < 2 or not (p & 1 and odd[p >> 1])):
             raise NotPrime(f"{p} is not a prime")
-        i = p >> 1
-        j = i // _BLOCK
-        return 2 + counts[j] + odd.count(1, j * _BLOCK, i)
+        return _count(odd, counts, p)
+
+    def _meissel(self, x: int) -> int:
+        """pi(x) for x >= 4 by Meissel's formula (Meissel 1870): with c = floor(cbrt x)
+        and a = pi(c), pi(x) = phi(x, a) + a - 1 - P2, where P2 sums pi(x // p) -
+        pi(p) + 1 over the primes c < p <= sqrt x.  Every pi(y) is read from the
+        table grown through max(x // (c + 1), c * c) <= x**(2/3), or from a
+        throwaway table sieved that far when it is past the bound."""
+        c = round(x ** (1 / 3))
+        c -= c**3 > x  # floor(cbrt x): the float root is off by far less than 1/2
+        upto = max(x // (c + 1), c * c)
+        odd, counts = (self._built(upto) if upto <= self._bound
+                       else _extend(bytearray(), array("L", [0]), upto))
+        primes = [2, *compress(count(1, 2), odd[: isqrt(x) + 1 >> 1])]
+        a = bisect_right(primes, c)
+        p2 = sum(_count(odd, counts, x // p) - i for i, p in enumerate(primes[a:], a))
+        return _phi(x, primes[:a], odd, counts) + a - 1 - p2
 
     def factorize(self, n: int) -> Factorization:
         """Trial division by ``_SMALL``, then Miller–Rabin proves cofactors prime and
@@ -201,25 +215,47 @@ def _rho(n: int, budget: int) -> int:
             return 0 if g == 1 else g
 
 
-def _prime_count(x: int) -> int:
-    """pi(x) by the Lucy_Hedgehog (Legendre) method, in O(x**0.75) time: after odd
-    prime p, ``small[v]`` (``large[i]``) counts the odd numbers in 3 .. v
-    (3 .. x // i) that are prime or have no odd prime factor <= p."""
-    root = isqrt(x)
-    small = [max(v - 1, 0) // 2 for v in range(root + 1)]
-    large = [0] + [(x // i - 1) // 2 for i in range(1, root + 1)]
-    for p in range(3, root + 1, 2):
-        below = small[p - 1]
-        if small[p] == below:
-            continue  # p is not prime
-        top = min(root, x // (p * p))
-        near, xp = min(top, root // p), x // p
-        ahead = large[p : near * p + 1 : p]
-        large[1 : near + 1] = [a - b + below for a, b in zip(large[1 : near + 1], ahead)]
-        far = range(near + 1, top + 1)
-        large[near + 1 : top + 1] = [large[i] - small[xp // i] + below for i in far]
-        small[p * p :] = [small[v] - small[v // p] + below for v in range(p * p, root + 1)]
-    return large[1] + 1  # and 2
+def _extend(odd: bytearray, counts: array, hi: int) -> tuple:
+    """Sieve the odd numbers from 2 * len(odd) + 1 through hi onto the table, whose
+    length is a whole number of blocks, and return it.  Each segment's counts go
+    in before its flags, so a reader that sees a flag also sees its block's count."""
+    for _, flags in _segments(2 * len(odd) + 1, hi):
+        tallies = (flags.count(1, i, i + _BLOCK) for i in range(0, len(flags), _BLOCK))
+        counts[-1:] = array("L", accumulate(tallies, initial=counts[-1]))
+        odd += flags
+    return odd, counts
+
+
+def _count(odd: bytearray, counts: array, z: int) -> int:
+    """pi(z) for 0 <= z <= 2 * len(odd), read from the table (odd, counts)."""
+    k = z + 1 >> 1  # the odd numbers up to z
+    j = k // _BLOCK
+    return (z > 1) + counts[j] + odd.count(1, j * _BLOCK, k)
+
+
+def _phi(x: int, primes: list[int], odd: bytearray, counts: array) -> int:
+    """phi(x, a), the n <= x that none of the first a = len(primes) primes divides,
+    for primes up to cbrt x.  phi(z, i) = phi(z, k) - sum of phi(z // p_j, j - 1)
+    over k < j <= i, with k = 4 (the _WHEEL) or 0 (phi(z, 0) = z); once z <
+    p_(i+1)**2, phi(z, i) counts 1 and the primes in (p_i, z], which the table
+    gives.  ``terms[i]`` maps z to the multiple of phi(z, i) still to add; the
+    levels are worked from a down, so equal terms merge before they are expanded."""
+    a = len(primes)
+    terms: list[dict[int, int]] = [{} for _ in primes] + [{x: 1}]
+    below = list(zip(terms, primes))
+    total = 0
+    for i in reversed(range(a + 1)):
+        square = primes[i] ** 2 if i < a else 0  # the top term never takes the shortcut
+        kids = below[4 if i >= 4 else 0 : i]
+        for z, m in terms[i].items():
+            if z < square:
+                total += m * (1 + _count(odd, counts, z) - i)
+                continue
+            total += m * (z // 210 * 48 + _WHEEL[z % 210] if i >= 4 else z)
+            for level, p in kids:
+                y = z // p
+                level[y] = level.get(y, 0) - m
+    return total
 
 
 def _strikes(base: list[int], low: int, high: int) -> Iterator[tuple[int, int]]:
@@ -236,7 +272,7 @@ def _strikes(base: list[int], low: int, high: int) -> Iterator[tuple[int, int]]:
 
 
 def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
-    """(first number, flags) per segment of the odd numbers in [lo, hi], lo > 2;
+    """(first number, flags) per segment of the odd numbers in [lo, hi], lo >= 1;
     a flag is 1 when its number is prime."""
     root = isqrt(hi)
     base = list(_primes(3, root)) if root > 2 else []
@@ -244,6 +280,8 @@ def _segments(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
     for low in range(lo // 2, stop, _SEGMENT):
         high = min(low + _SEGMENT, stop)
         flags = bytearray(b"\x01") * (high - low)
+        if not low:
+            flags[0] = 0  # 1 is not prime
         for p, start in _strikes(base, low, high):
             flags[start - low :: p] = bytes(len(range(start, high, p)))
         yield 2 * low + 1, flags

@@ -21,12 +21,15 @@ per difference and exits 1 if there is any, else 0.
   <2**200>`` and ``table WP 100000 100500``, and the error of ``table WP 1
   3 --bfile``, which prints ``IntPolynomial(())``;
 - the prime layer past the initial sieve: ``stat V``, ``decode`` and the
-  ``encode`` of 999999937 (a prime near the 10**9 ceiling), ``stat V
-  999999866000004473`` (the product of two such primes), ``decode
-  83528415823579`` and ``stat PV 52443337377833`` (semiprimes with a factor
-  past 10**6), and the errors ``stat V 1000000007`` (a prime past the
-  ceiling) and ``stat V <10**51 + 7>``.  A tree that sieves up to the prime
-  it indexes takes 8-32 s per command on these.
+  ``encode`` of 999999937 (a prime near the 10**9 ceiling), ``stat V`` and
+  ``stat NK`` of 999999866000004473 (the product of two such primes),
+  ``decode 83528415823579`` and ``stat PV 52443337377833`` (semiprimes with a
+  factor past 10**6), ``table V 2000000 2000300 --bfile`` (which indexes the
+  primes in (10**6, 1000150]), the ``encode`` of the path of 14 edges (which
+  indexes primes up to 9737333 and then stops at the ceiling), and the
+  errors ``stat V 1000000007`` (a prime past the ceiling) and ``stat V
+  <10**51 + 7>``.  A tree that sieves up to the prime it indexes takes 8-32 s
+  per command on these.
 - parameter handling: ``stat S 0``, ``stat S 0 --k 1`` and ``stat S 0
   --alpha 2`` for S in V, A_ALPHA, HYPER_W, POLARITY and LEVEL_COUNT,
   whose errors show which check comes first, and ``stat LEVEL_COUNT
@@ -60,8 +63,11 @@ per difference and exits 1 if there is any, else 0.
   ``factorize(n)`` for n in 1..3000, 1021**2, 1031**2, 1021 * 1031,
   ``2**400 * 3**5``, 10**6 +- 1..3, 999999937, ``1000003 *
   999999999999999989`` and 10**51 + 7, then of ``prime_index(p)`` for p
-  within 3 of 1021, 1024, 1031, b and c, and 999999937, then of
-  ``nth_prime(m)`` for m in 170..175 and 78497..78500.
+  within 3 of 1021, 1024, 1031, b and c, the primes on each side of 2*10**6
+  and 2*10**7, and 999999929, 999999937 and 1000000007 (the primes around
+  10**9), then of ``nth_prime(m)`` for m in
+  170..175, 78497..78500 and within 1 of 148933, 1270607 and 50847534 (the
+  indices of the primes below 2*10**6, 2*10**7 and 10**9).
 """
 
 import os
@@ -74,6 +80,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 # decode 999999937: encoding it needs nth_prime(50847534)
 NEAR_CEILING_TREE = "((()(())(())(())(()()())((((())))(()(())(())((()))))))"
+PATH_OF_14_EDGES = "(" * 15 + ")" * 15
 
 ORACLE_DUMP = """
 import sys
@@ -168,8 +175,10 @@ for b, c in ((4, 1000), (4, 10**9), (1000, 1000), (1000, 10**9), (10**6, 10**9))
         show(sieve.factorize, n)
     for p in sorted({p for x in (1021, 1024, 1031, b, c) for p in range(x - 3, x + 4)}):
         show(sieve.prime_index, p)
-    show(sieve.prime_index, 999999937)
-    for m in (*range(170, 176), *range(78497, 78501)):
+    for p in (999999937, 1999993, 2000003, 19999999, 20000003, 999999929, 1000000007):
+        show(sieve.prime_index, p)
+    for m in (*range(170, 176), *range(78497, 78501), *(m + d for m in (148933, 1270607,
+              50847534) for d in (-1, 0, 1))):
         show(sieve.nth_prime, m)
 """
 
@@ -206,6 +215,8 @@ def _commands(tree: Path) -> list[list[str]]:
                  ["table", "WP", "1", "3", "--bfile"]]
     commands += [["stat", "V", "999999937"], ["decode", "999999937"],
                  ["encode", NEAR_CEILING_TREE], ["stat", "V", "999999866000004473"],
+                 ["stat", "NK", "999999866000004473"], ["table", "V", "2000000", "2000300", "--bfile"],
+                 ["encode", PATH_OF_14_EDGES],
                  ["decode", "83528415823579"], ["stat", "PV", "52443337377833"],
                  ["stat", "V", "1000000007"], ["stat", "V", str(10**51 + 7)]]
     for name in ("V", "A_ALPHA", "HYPER_W", "POLARITY", "LEVEL_COUNT"):

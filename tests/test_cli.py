@@ -571,6 +571,14 @@ def test_one_shot_commands_import_only_what_they_run():
         assert (proc.returncode, proc.stderr) == (0, f"{loaded}\n"), argv
 
 
+def test_encode_of_a_child_number_past_the_float_range_is_one_error_line(capsys):
+    # The root's child is a star of 1100 leaves, numbered 2**1100: the root is
+    # the prime of that index, which lies past the ceiling.
+    code, out, err = run(capsys, "encode", "((" + "()" * 1100 + "))")
+    assert (code, out) == (1, "")
+    assert err == f"error: prime #{2**1100} lies beyond the sieve ceiling {10**9}\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_is_one_error_line():
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

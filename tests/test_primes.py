@@ -1,19 +1,26 @@
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from array import array
 from bisect import bisect_right
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matula import primes
 from matula.errors import CapacityExceeded, InvalidInput, NotPrime
 from matula.primes import (
+    _BLOCK,
     _SEGMENT,
+    _STEP,
     PrimeSieve,
     _rho,
     factorize,
@@ -148,7 +155,7 @@ def test_fresh_sieve_stays_at_its_built_bound():
     assert sieve.prime_index(541) == 100
     assert sieve.factorize(2 * 3 * 541).factors == ((2, 1), (3, 1), (541, 1))
     assert sieve.factorize(541 * 547).factors == ((541, 1), (547, 1))
-    assert sieve._limit == 10  # answered past the sieve, which never grew
+    assert sieve._limit <= 10  # answered past the bound, which the table never passes
 
 
 def test_capacity_nth_prime():
@@ -158,6 +165,13 @@ def test_capacity_nth_prime():
         sieve.nth_prime(26)  # p_26 = 101 > ceiling
     assert str(exc.value) == "prime #26 lies beyond the sieve ceiling 100"
     assert (exc.value.needed, exc.value.limit) == (26, 100)
+
+
+def test_capacity_nth_prime_past_the_float_range():
+    # m * log(m) overflows a float; the index alone shows p_m > m > ceiling.
+    with pytest.raises(CapacityExceeded) as exc:
+        PrimeSieve().nth_prime(2**1100)
+    assert (exc.value.needed, exc.value.limit) == (2**1100, 10**9)
 
 
 def test_capacity_prime_index():
@@ -188,9 +202,10 @@ def test_cold_sieve_factorizes_what_a_warm_one_does(n, factors):
     # sqrt(n) is past the ceiling, but the small primes divide n out.
     warm = PrimeSieve()
     warm.nth_prime(10)
+    read = warm._limit
     cold = PrimeSieve()
     assert cold.factorize(n).factors == warm.factorize(n).factors == factors
-    assert (cold._limit, warm._limit) == (1, 10**6)  # factorize reads no table
+    assert (cold._limit, warm._limit) == (1, read)  # factorize reads no table
 
 
 def test_concurrent_readers_and_growth():
@@ -224,6 +239,61 @@ def test_concurrent_readers_and_growth():
         for got in values:
             m = rng.randrange(1, 2000)
             assert got == (nth_prime(m), m)
+
+
+def test_readers_see_whole_steps_while_the_table_grows(monkeypatch):
+    """Threads read the table while others extend it in place, a block at a time."""
+    monkeypatch.setattr(primes, "_STEP", _BLOCK)
+    monkeypatch.setattr(primes, "_SEGMENT", 2 * _BLOCK)
+    ref = _reference_primes(200000)
+    sieve = PrimeSieve(initial_bound=200000, ceiling=10**6)
+    results: dict[int, list[tuple[int, int]]] = {}
+
+    def worker(ident: int):
+        rng = random.Random(ident)
+        out = []
+        for m in sorted(rng.randrange(1, len(ref) + 1) for _ in range(300)):  # growing reads
+            out.append((sieve.nth_prime(m), sieve.prime_index(ref[m - 1])))
+        results[ident] = out
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for ident, values in results.items():
+        rng = random.Random(ident)
+        want = [(ref[m - 1], m) for m in sorted(rng.randrange(1, len(ref) + 1) for _ in values)]
+        assert values == want
+    assert len(results) == len(threads)
+
+
+def test_a_flag_is_never_seen_before_its_block_count(monkeypatch):
+    """The table grows in place under readers that take no lock, so each segment's
+    block counts must be in before its flags: a reader that finds the flags long
+    enough must find the counts for them too."""
+    monkeypatch.setattr(primes, "_SEGMENT", 2 * _BLOCK)
+    ref = _reference_primes(20000)
+    counts = array("L", [0])
+    read = []
+
+    class Flags(bytearray):
+        def __iadd__(self, more):
+            super().__iadd__(more)
+            z = 2 * len(self)  # the furthest number a reader may now ask about
+            read.append(primes._count(self, counts, z) == bisect_right(ref, z))
+            return self
+
+    sieve = PrimeSieve(initial_bound=20000, ceiling=10**6)
+    sieve._state = (Flags(), counts)
+    assert sieve.prime_index(19997) == bisect_right(ref, 19997)
+    assert len(read) == 10 and all(read)
 
 
 @cache
@@ -345,19 +415,26 @@ def _answer(sieve, query):
         ),
         min_size=1,
         max_size=6,
-    )
+    ),
+    data=st.data(),
 )
-def test_fresh_and_warm_sieves_agree(queries):
-    """A sieve's answers do not depend on the queries it answered before."""
+def test_fresh_and_warm_sieves_agree(queries, data):
+    """A sieve's answers and the table it grows do not depend on the queries it
+    answered before: the table ends where the query that reads furthest takes
+    it, and answers past the bound never take it past the bound."""
     warm = PrimeSieve()
     answers = [_answer(warm, q) for q in queries]
     backwards = PrimeSieve()
     assert [_answer(backwards, q) for q in reversed(queries)] == answers[::-1]
-    assert [_answer(PrimeSieve(), q) for q in queries] == answers
-    # Built exactly when a prime_index or nth_prime call asked for the table
-    # (nth_prime(1) is answered without it).
-    asked = any(kind == "index" or (kind == "nth" and x % 10**6) for kind, x in queries)
-    assert warm._limit == backwards._limit == (10**6 if asked else 1)
+    order = data.draw(st.permutations(range(len(queries))))
+    shuffled = PrimeSieve()
+    assert [_answer(shuffled, queries[i]) for i in order] == [answers[i] for i in order]
+    fresh = [PrimeSieve() for _ in queries]
+    assert [_answer(sieve, q) for sieve, q in zip(fresh, queries)] == answers
+    furthest = max(sieve._limit for sieve in fresh)
+    assert warm._limit == backwards._limit == shuffled._limit == furthest <= 10**6
+    # Only factorize reads no table.
+    assert (furthest > 1) == any(kind != "factor" for kind, _ in queries)
 
 
 def _factors_or_error(sieve, n):
@@ -421,7 +498,112 @@ def test_matches_sympy():
         for _ in range(5):
             p, q = (sympy.prevprime(rng.randrange(3, math.isqrt(bound))) for _ in "pq")
             assert dict(sieve.factorize(p * q).factors) == sympy.factorint(p * q)
+    assert sieve._limit <= 10**6
+
+
+# x = bound +- 1, around the squares of base primes, near 2*10**6, 2*10**7, 999**3 and
+# the ceiling 1000**3; 31607 is the largest prime below sqrt(10**9).
+_PI_EDGES = (
+    10**6 - 1, 10**6, 10**6 + 1, 1009**2 - 1, 1009**2, 1009**2 + 1, 1999993, 2 * 10**6 - 1,
+    2 * 10**6, 2000003, 19999999, 2 * 10**7, 20000003, 999**3 - 1, 999**3, 999**3 + 1,
+    31607**2 - 1, 31607**2 + 1, 10**9 - 1, 10**9,
+)
+
+
+def test_pi_past_the_bound_matches_the_reference_list():
+    ref = _reference_primes(_REF_LIMIT)
+    sieve = PrimeSieve()
+    for x in (x for x in _PI_EDGES if x <= _REF_LIMIT):
+        assert sieve._pi(x) == bisect_right(ref, x), x
+    for p in ref[bisect_right(ref, 10**6) - 3 :][:6]:  # three primes on each side of the bound
+        m = bisect_right(ref, p)
+        assert (sieve.prime_index(p), sieve.nth_prime(m)) == (m, p)
     assert sieve._limit == 10**6
+
+
+def _primepi_near(sympy, xs):
+    """pi(x) for each x in xs: sympy's primepi once per run of xs at most 2 apart
+    (each takes a good part of a second near 10**9), then its isprime below it."""
+    pi, top, count = {}, None, 0
+    for x in sorted(xs, reverse=True):
+        if top is None or top - x > 2:
+            top, count = x, int(sympy.primepi(x))
+        pi[x] = count - sum(map(sympy.isprime, range(x + 1, top + 1)))
+    return pi
+
+
+def test_pi_past_the_bound_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    sieve = PrimeSieve()
+    pi = _primepi_near(sympy, _PI_EDGES)
+    for x, want in pi.items():
+        assert sieve._pi(x) == want, x
+    for x in (2 * 10**6, 2 * 10**7, 999**3, 10**9):  # the primes on each side of x
+        below, above = int(sympy.prevprime(x)), int(sympy.nextprime(x))
+        for p, m in ((below, pi[x - 1]), (above, pi[x] + 1)):
+            if p <= 10**9:
+                assert (sieve.prime_index(p), sieve.nth_prime(m)) == (m, p), p
+    assert sieve._limit == 10**6
+
+
+@settings(max_examples=40, deadline=None)
+@given(initial=st.integers(4, 5000), draws=st.lists(st.floats(0, 1), min_size=1, max_size=4))
+def test_pi_past_a_small_bound_matches_the_reference_list(initial, draws):
+    """Past a small bound x**(2/3) is mostly past it too, so pi reads a throwaway table."""
+    ref = _reference_primes(_REF_LIMIT)
+    sieve = PrimeSieve(initial_bound=initial, ceiling=_REF_LIMIT)
+    for u in draws:
+        x = initial + 1 + int(u * (_REF_LIMIT - initial - 1))
+        m = bisect_right(ref, x)
+        assert sieve._pi(x) == m, x
+        if ref[m - 1] > initial:
+            assert (sieve.prime_index(ref[m - 1]), sieve.nth_prime(m)) == (m, ref[m - 1])
+    assert sieve._limit <= initial
+
+
+def test_the_table_grows_in_whole_steps_across_a_step_edge(monkeypatch):
+    monkeypatch.setattr(primes, "_STEP", _BLOCK)  # 2 * _BLOCK numbers per step
+    monkeypatch.setattr(primes, "_SEGMENT", 2 * _BLOCK)  # and a growth spans segments
+    ref = _reference_primes(8000)
+    edge = 8 * _BLOCK  # the table's fourth step ends at edge - 1
+    below, above = ref[bisect_right(ref, edge) - 1], ref[bisect_right(ref, edge)]
+    assert below < edge < above
+    for order, limits in (((below, above), [edge, edge + 2 * _BLOCK]),
+                          ((above, below), [edge + 2 * _BLOCK] * 2)):
+        sieve = PrimeSieve(initial_bound=7000, ceiling=10**6)
+        got = []
+        for p in order:
+            assert sieve.prime_index(p) == ref.index(p) + 1
+            got.append(sieve._limit)
+        assert got == limits
+    ascending, descending = PrimeSieve(7000, 10**6), PrimeSieve(7000, 10**6)
+    small = ref[: bisect_right(ref, 7000)]
+    assert [ascending.prime_index(p) for p in small] == list(range(1, len(small) + 1))
+    assert [descending.prime_index(p) for p in reversed(small)] == list(range(len(small), 0, -1))
+    assert [PrimeSieve(7000, 10**6).nth_prime(m) for m in range(1, len(ref) + 1)] == ref
+    assert ascending._limit == descending._limit == 7000
+
+
+def test_small_one_shot_queries_sieve_one_step():
+    """decode 12 and stat V 12 index the primes 2 and 3 only, so the table
+    grows by one step, not to its bound."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    for argv in (["decode", "12"], ["stat", "V", "12"]):
+        code = (
+            "import sys, matula.cli, matula.primes as P\n"
+            "seen = []\n"
+            "def spy(lo, hi, segments=P._segments):\n"
+            "    seen.append(hi)\n"
+            "    return segments(lo, hi)\n"
+            "P._segments = spy\n"
+            f"matula.cli.main({argv!r})\n"
+            "print(max(seen), file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert 3 <= int(proc.stderr) < 2 * _STEP, argv
 
 
 _TWO_PAST_THE_CEILING = 1000000000039 * 3000000000013  # rho's budget cannot split it
