@@ -78,6 +78,7 @@ class PrimeSieve:
 
     def nth_prime(self, m: int) -> int:
         """Return the m-th prime (1-based: nth_prime(1) == 2)."""
+        _check_int(m, "a prime index")
         if m < 1:
             raise InvalidInput(f"prime index must be >= 1, got {m}")
         # m(ln m + ln ln m - 1) <= p_m for m >= 2; p_m <= m(ln m + ln ln m - 0.9484)
@@ -111,6 +112,7 @@ class PrimeSieve:
 
     def prime_index(self, p: int) -> int:
         """Return m such that nth_prime(m) == p (the order of the prime)."""
+        _check_int(p, "a prime")
         if p > self._ceiling:
             msg = f"indexing prime {p} needs sieving past the ceiling {self._ceiling}"
             raise CapacityExceeded(msg, needed=p, limit=self._ceiling)
@@ -142,6 +144,7 @@ class PrimeSieve:
     def factorize(self, n: int) -> Factorization:
         """Trial division by ``_SMALL``, then Miller–Rabin proves cofactors prime and
         rho splits them."""
+        _check_int(n, "a number to factorize")
         if n < 1:
             raise InvalidInput(f"cannot factorize {n}; need n >= 1")
         c = self._ceiling
@@ -178,6 +181,12 @@ class PrimeSieve:
         if d or isqrt(m) > self._ceiling:
             return d
         return next((p for p in _primes(3, isqrt(m)) if m % p == 0), 0)
+
+
+def _check_int(x, what: str) -> None:
+    """Refuse an x that is not an int; a bool is not one either."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidInput(f"{what} must be an integer, got {x!r}")
 
 
 def _probable_prime(n: int) -> bool:

@@ -11,12 +11,13 @@ composite split), so one stepping loop, ``_run``, fills the memos of a
 plan in ascending n from each n's children.  A plan covers one statistic
 and what it reads, or several statistics at once, each memo once.  Two
 feeders give it those children: the sparse one (``compute``) collects
-the part of n's DAG that is not yet memoized with an explicit stack, so
-stack depth does not grow with n; the dense one (``fill``) walks a whole
-range with a segmented smallest-prime-factor sieve and a running prime
-count.  The composite split is always r = smallest prime factor, which
-keeps r prime (required by the BV and TW rules) and makes the recursion
-shape canonical.
+the part of n's DAG that is not yet memoized; one factorization fixes a
+whole composite chain, so it factorizes only n and the prime indices it
+meets, and it keeps these heads on a list, so stack depth does not grow
+with n; the dense one (``fill``) walks a whole range with a segmented
+smallest-prime-factor sieve and a running prime count.  The composite
+split is always r = smallest prime factor, which keeps r prime (required
+by the BV and TW rules) and makes the recursion shape canonical.
 
 Every value is computed in exact integers where it is one: the
 multiplicative statistics (NK, MZ1, MZ2) multiply first and then divide
@@ -555,9 +556,12 @@ class StatsEngine:
     def _eval(self, plan: tuple[list, list], n: int):
         """Memoize n in every memo of plan and return the first: the sparse feeder.
 
-        It collects the part of n's DAG that some memo lacks with an
-        explicit stack, factorizing and indexing each m, and runs it in
-        ascending m; stack depth does not grow with n.
+        It collects the part of n's DAG that some memo lacks and runs it in
+        ascending m.  A head, n or a prime index, is factorized once, and
+        that fixes its composite chain m -> (q, m // q), q ascending, down
+        to the last q or to a step every memo holds; each prime met is
+        indexed, and its index is a head in turn.  Heads wait on a list of
+        their own, so stack depth does not grow with n.
         """
         entries, memos = plan
         for memo in memos:
@@ -565,26 +569,25 @@ class StatsEngine:
                 break
         else:
             return memos[0][n]
-        children: dict[int, tuple[int, ...]] = {}
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if m in children:
-                continue
-            kids: tuple[int, ...] = ()
-            if m > 1:
-                fz = self._sieve.factorize(m)
-                if fz.omega == 1:
-                    kids = (self._sieve.prime_index(m),)
-                else:
-                    r = fz.factors[0][0]
-                    kids = (r, m // r)
-            children[m] = kids
-            for kid in kids:  # push each child that some memo lacks
-                for memo in memos:
-                    if kid not in memo:
-                        stack.append(kid)
-                        break
+
+        def wanted(m: int) -> bool:  # not collected yet, and some memo lacks it
+            return m not in children and any(m not in memo for memo in memos)
+
+        # A memo that holds any m holds 1, which has no kids: 1 is never a head
+        children: dict[int, tuple[int, ...]] = {1: ()} if any(1 not in d for d in memos) else {}
+        heads = [n]  # then each prime's index: the loop reads what it appends
+        for m in filter(wanted, heads):  # wanted as it is reached, not as appended
+            for q in (q for q, e in self._sieve.factorize(m).factors for _ in range(e)):
+                if wanted(q):  # q is prime: its kid is its index, a head
+                    t = self._sieve.prime_index(q)
+                    children[q] = (t,)
+                    heads.append(t)
+                if m == q:  # the chain's last prime
+                    break
+                children[m] = (q, s := m // q)  # s is also the next key: made once
+                if not wanted(s):
+                    break
+                m = s
         _run(entries, sorted(children.items()))
         return memos[0][n]
 

@@ -47,9 +47,6 @@ class RootedTree:
         t.matula = matula
         return t
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def __eq__(self, other):
         if isinstance(other, RootedTree):
             return self.matula == other.matula
@@ -81,10 +78,6 @@ def _decode(n: int) -> RootedTree:
         for p, k in sieve.factorize(n).factors:
             kids.extend([_decode(sieve.prime_index(p))] * k)
     return RootedTree._known(tuple(kids), n)
-
-
-def clear_decode_cache() -> None:
-    _decode.cache_clear()
 
 
 def encode(t: RootedTree) -> int:

@@ -20,6 +20,8 @@ per difference and exits 1 if there is any, else 0.
   <3**300>``, ``stat EDP <3**40 * 5**40 * 7**30>``, ``stat MULT_W
   <2**200>`` and ``table WP 100000 100500``, and the error of ``table WP 1
   3 --bfile``, which prints ``IntPolynomial(())``;
+- long composite chains: ``stat S`` for S in V, DSP, NK, W and WP at
+  ``2**2000``, ``3**300 * 5**200`` and ``2**3000 * 999999937``;
 - the prime layer past the initial sieve: ``stat V``, ``decode`` and the
   ``encode`` of 999999937 (a prime near the 10**9 ceiling), ``stat V`` and
   ``stat NK`` of 999999866000004473 (the product of two such primes),
@@ -213,6 +215,8 @@ def _commands(tree: Path) -> list[list[str]]:
                  ["stat", "EDP", str(3**40 * 5**40 * 7**30)],
                  ["stat", "MULT_W", str(2**200)], ["table", "WP", "100000", "100500"],
                  ["table", "WP", "1", "3", "--bfile"]]
+    commands += [["stat", name, str(n)] for n in (2**2000, 3**300 * 5**200, 2**3000 * 999999937)
+                 for name in ("V", "DSP", "NK", "W", "WP")]
     commands += [["stat", "V", "999999937"], ["decode", "999999937"],
                  ["encode", NEAR_CEILING_TREE], ["stat", "V", "999999866000004473"],
                  ["stat", "NK", "999999866000004473"], ["table", "V", "2000000", "2000300", "--bfile"],

@@ -59,7 +59,7 @@ def test_criterion_3_degree_sequence_polynomial_of_nine():
 
 
 def test_criterion_4_bijection_to_100000():
-    tree.clear_decode_cache()
+    tree._decode.cache_clear()
     start = time.perf_counter()
     bad = [n for n in range(1, 100001) if encode(decode(n)) != n]
     elapsed = time.perf_counter() - start

@@ -95,6 +95,27 @@ def test_factorize_rejects_zero():
         factorize(-12)
 
 
+@pytest.mark.parametrize(
+    "function, argument",
+    [
+        (nth_prime, 2.5),
+        (nth_prime, True),
+        (nth_prime, "3"),
+        (prime_index, 2.0),
+        (prime_index, True),
+        (prime_index, "7"),
+        (factorize, 2.5),
+        (factorize, True),
+        (factorize, "7"),
+        (PrimeSieve().factorize, 12.0),
+    ],
+)
+def test_prime_functions_refuse_a_non_integer(function, argument):
+    # A bool is an int to Python, but not a prime, an index or a number here.
+    with pytest.raises(InvalidInput, match=f"must be an integer, got {argument!r}$"):
+        function(argument)
+
+
 def test_factorize_recomposes():
     for n in range(1, 3000):
         fz = factorize(n)

@@ -690,6 +690,25 @@ def test_fill_memory_tracks_the_range(monkeypatch):
     assert sorted(engine._memo["V", None]) == list(range(1, 16001))
 
 
+def test_one_factorization_per_chain_head(monkeypatch):
+    # One factorization of n fixes its whole composite chain n -> n/q -> ...,
+    # so only n and the prime indices not collected yet are factorized.  At
+    # 2**3000 the one index is 1, which needs none; at 3**300 * 5**200 they
+    # are 2 and 3, and 3 is already on the chain.
+    sieve = PrimeSieve()
+    factorized = _spy_on_factorize(monkeypatch, sieve)
+    engine = StatsEngine(sieve)
+    engine.compute(S.V, 2**3000)
+    factorized.clear()
+    engine.compute(S.E, 2**3000)  # a memo of its own: the chain is walked again
+    assert factorized == [2**3000]
+
+    sieve = PrimeSieve()
+    factorized = _spy_on_factorize(monkeypatch, sieve)
+    StatsEngine(sieve).compute(S.V, 3**300 * 5**200)
+    assert len(factorized) <= 3, factorized[:5]
+
+
 def test_sparse_computes_leave_no_memory_in_the_prime_layer():
     # The engine's memo keeps what it walked; the sieve keeps nothing per n.
     sieve = PrimeSieve()
@@ -751,6 +770,39 @@ def test_values_do_not_depend_on_evaluation_order(name, n, choice, warm, seed):
     ]
     assert [str(v) for v in got] == [str(cold)] * 2
     assert got == [cold] * 2
+
+
+_CHAIN_CASES = (
+    (S.V, {}),
+    (S.DSP, {}),
+    (S.NK, {}),
+    (S.W, {}),
+    (S.A_ALPHA, {"alpha": 2}),
+    (S.R_ALPHA, {"alpha": -1}),
+)
+
+
+def _product(exponents):
+    return math.prod(p**e for p, e in zip((2, 3, 5, 7), exponents))
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponents=st.tuples(*[st.integers(0, 60)] * 4), data=st.data())
+def test_chains_that_stop_at_a_memoized_step(exponents, data):
+    # n's chain divides out its 2s first, then its 3s, 5s and 7s: a warmed
+    # divisor stops it part way, and a warmed prime index a later head's walk.
+    n = _product(exponents)
+    divisor = st.tuples(*(st.integers(0, e) for e in exponents)).map(_product)
+    work = data.draw(
+        st.lists(st.tuples(st.sampled_from(_CHAIN_CASES), divisor | st.integers(1, 4)),
+                 max_size=10)
+    )
+    warm = StatsEngine()
+    for (name, kw), m in work:
+        warm.compute(name, m, **kw)
+    for name, kw in _CHAIN_CASES:
+        got, want = warm.compute(name, n, **kw), StatsEngine().compute(name, n, **kw)
+        assert (type(got), got) == (type(want), want), name
 
 
 def test_one_engine_per_thread_over_a_shared_sieve():

@@ -27,7 +27,7 @@ def test_decode_one_is_single_vertex():
 def test_decode_four_is_two_leaf_star():
     t = decode(4)
     assert len(t.children) == 2
-    assert all(c.is_leaf() for c in t.children)
+    assert all(not c.children for c in t.children)
 
 
 def test_decode_worked_example():
@@ -40,14 +40,14 @@ def test_decode_never_rebuilds_n_from_nth_prime(monkeypatch):
     def refuse(self, m):
         raise AssertionError(f"nth_prime({m}) called")
 
-    tree.clear_decode_cache()
+    tree._decode.cache_clear()
     monkeypatch.setattr(PrimeSieve, "nth_prime", refuse)
     try:
         t = decode(987654321)
         want = "((())(())((()()))((()()))((())(()())(()((())))(()()()())))"
         assert (t.matula, to_canonical_string(t)) == (987654321, want)
     finally:
-        tree.clear_decode_cache()
+        tree._decode.cache_clear()
 
 
 def test_encode_base_cases():
@@ -168,7 +168,7 @@ def test_dot_is_deterministic():
 def test_capacity_propagates_from_primes(monkeypatch):
     tiny = PrimeSieve(initial_bound=10, ceiling=50)
     monkeypatch.setattr(primes, "_default", tiny)
-    tree.clear_decode_cache()
+    tree._decode.cache_clear()
     try:
         with pytest.raises(CapacityExceeded):
             decode(10007**2)  # factorization needs primes past the ceiling
@@ -178,4 +178,4 @@ def test_capacity_propagates_from_primes(monkeypatch):
             for _ in range(10):
                 t = RootedTree([t])
     finally:
-        tree.clear_decode_cache()
+        tree._decode.cache_clear()
