@@ -4,11 +4,12 @@ in alternation, and summarize the pairs.
     python3 tests/bench_pairs.py --scratch DIR --parent REV [--change REV]
         [--pairs 10] [--first-seed 2601] [--seconds 25] [--out FILE]
     python3 tests/bench_pairs.py --scratch DIR --parent REV [--change REV]
-        --processes N [--label NAME] [--out FILE] -- 'ARGV' ['ARGV' ...]
+        --processes N [--after-main] [--label NAME] [--out FILE] -- 'ARGV' ['ARGV' ...]
     python3 tests/bench_pairs.py --summarize FILE
 
-Each side is exported with ``git archive`` into DIR/parent and DIR/change (a
-fresh copy, no ``__pycache__``).  Without --change the change side is the
+Each side is exported with ``git archive`` into DIR/parent and DIR/change,
+and in processes mode the parent again into DIR/control (a fresh copy, no
+``__pycache__``).  Without --change the change side is the
 working tree's tracked files (``git stash create``, which leaves the tree
 alone), or HEAD when nothing is modified.
 
@@ -22,12 +23,19 @@ median worse-by (positive is worse) beside the bound from BENCHMARK.json;
 scaling, and every run keeps its host speed.
 
 Processes mode runs each ARGV (one shell-quoted string per command, given to
-``python -m matula``) N times per side, interleaved command by command, the
-side that goes first flipping each round.  It records wall time and peak RSS
-per process, and the wall time scaled by bench/run.py's reference program,
-timed just before each process; per metric it gives each side's median and
-quartiles and the rounds the change won, and whether both sides printed the
-same bytes.
+``python -m matula``) N times per side, interleaved command by command.  It
+has a third side, the control: a second export of the parent, so that the
+parent/control difference shows what two copies of one commit differ by (an
+A/A control).  The side that goes first rotates each round.  It records wall
+time and peak RSS per process, and the wall time scaled by bench/run.py's
+reference program, timed just before each process; per metric it gives each
+side's median and quartiles, the rounds the change won, the control's
+difference beside the change's, and ``unresolved`` when the change's median
+differs from the parent's by no more than the control's does; and whether
+the sides printed the same bytes.  With --after-main each process runs
+``matula.__main__`` under a probe that notes when ``cli.main`` returns or
+raises, and the one metric is ``exit_s``: from then to the moment this
+process sees the program exit, on the shared monotonic clock.
 
 --out merges the result into a JSON file (pairs mode at the top level,
 processes mode under ``processes.<label>``); without it the JSON goes to
@@ -53,6 +61,21 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 ENV = {"PYTHONUNBUFFERED": "1", "PYTHONDONTWRITEBYTECODE": "1"}
 LAUNCH_MARKER = "#matula-launch "  # as bench/launch.py writes it
+MAIN_END_MARKER = "#matula-main-end "
+# Runs `python -m matula ARGV` and writes the monotonic time at which cli.main
+# returned or raised to stderr, after MAIN_END_MARKER.
+AFTER_MAIN_PROBE = f"""
+import runpy, sys, time
+import matula.cli
+main = matula.cli.main
+def timed(argv=None):
+    try:
+        return main(argv)
+    finally:
+        sys.stderr.write("\\n{MAIN_END_MARKER}%r\\n" % time.monotonic())
+matula.cli.main = timed
+runpy.run_module("matula", run_name="__main__", alter_sys=True)
+"""
 
 
 def _git(*args: str) -> str:
@@ -162,15 +185,22 @@ def run_pairs(trees: dict[str, Path], count: int, first_seed: int, seconds: floa
     }
 
 
+def _env(tree: Path) -> dict:
+    """A measured process's environment: the tree's src, no bytecode written, and
+    not the caller's buffering mode."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def one_process(tree: Path, cmd: list[str]) -> tuple[float, float, str]:
     """Wall seconds, peak RSS in MB and a digest of the output of one program.
 
     It runs under the tree's bench/launch.py, a small process that times it
     and reads its own peak RSS, not this process's."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run(
-        [sys.executable, "-S", "bench/launch.py", *cmd], cwd=tree, env=env, capture_output=True
+        [sys.executable, "-S", "bench/launch.py", *cmd], cwd=tree, env=_env(tree),
+        capture_output=True,
     )
     err, _, marker = proc.stderr.rpartition(b"\n" + LAUNCH_MARKER.encode())
     wall, rss_kib, code = marker.split()
@@ -178,22 +208,46 @@ def one_process(tree: Path, cmd: list[str]) -> tuple[float, float, str]:
     return float(wall), int(rss_kib) / 1024, digest
 
 
-def run_processes(trees: dict[str, Path], rounds: int, commands: list[str]) -> dict:
+def after_main(tree: Path, argv: list[str]) -> tuple[float, str]:
+    """Seconds from the end of cli.main to the exit of ``python -m matula argv``
+    run under AFTER_MAIN_PROBE, and a digest of its output."""
+    proc = subprocess.run(
+        [sys.executable, "-c", AFTER_MAIN_PROBE, *argv], cwd=tree, env=_env(tree),
+        capture_output=True,
+    )
+    exited = time.monotonic()
+    err, _, marker = proc.stderr.rpartition(b"\n" + MAIN_END_MARKER.encode())
+    end, _, rest = marker.partition(b"\n")
+    digest = hashlib.sha256(proc.stdout + err + rest + str(proc.returncode).encode()).hexdigest()
+    return exited - float(end), digest[:16]
+
+
+def run_processes(trees: dict[str, Path], rounds: int, commands: list[str],
+                  probe: bool = False) -> dict:
     """Each command ``rounds`` times per side.  Before each process the benchmark's
     reference program is timed, as bench/run.py does, and ``scaled_wall_s`` is the
-    wall time times REF_NOMINAL_S over that reference time."""
+    wall time times REF_NOMINAL_S over that reference time.  With ``probe`` each
+    process runs under AFTER_MAIN_PROBE instead, and only ``exit_s`` is kept."""
     sys.path.insert(0, str(ROOT / "bench"))
     from run import REF_CODE, REF_NOMINAL_S
 
-    metrics = ("wall_s", "scaled_wall_s", "peak_rss_mb")
-    samples = {c: {s: {m: [] for m in metrics} | {"out": set()} for s in trees} for c in commands}
+    metrics = ("exit_s",) if probe else ("wall_s", "scaled_wall_s", "peak_rss_mb")
+    sides = tuple(trees)
+    samples = {c: {s: {m: [] for m in metrics} | {"out": set()} for s in sides} for c in commands}
     for k in range(rounds):
         for command in commands:
-            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            for side in sides[k % len(sides):] + sides[: k % len(sides)]:
+                got = samples[command][side]
+                if probe:
+                    exit_s, digest = after_main(trees[side], shlex.split(command))
+                    got["exit_s"].append(exit_s)
+                    got["out"].add(digest)
+                    print(f"{k + 1}/{rounds} {side} {command}: exit {exit_s * 1000:.1f} ms",
+                          file=sys.stderr)
+                    continue
                 ref = one_process(trees[side], [sys.executable, "-S", "-c", REF_CODE])[0]
                 cmd = [sys.executable, "-m", "matula", *shlex.split(command)]
                 wall, rss, digest = one_process(trees[side], cmd)
-                got = samples[command][side]
                 got["wall_s"].append(wall)
                 got["scaled_wall_s"].append(wall * REF_NOMINAL_S / ref)
                 got["peak_rss_mb"].append(rss)
@@ -201,14 +255,23 @@ def run_processes(trees: dict[str, Path], rounds: int, commands: list[str]) -> d
                 print(f"{k + 1}/{rounds} {side} {command}: {wall:.3f} s {rss:.1f} MB "
                       f"(reference {ref:.3f} s)", file=sys.stderr)
     result = {}
-    for command, sides in samples.items():
-        result[command] = {
-            metric: compare(sides["parent"][metric], sides["change"][metric], "lower")
-            for metric in metrics
-        }
-        result[command]["same_output"] = sides["parent"]["out"] == sides["change"]["out"]
-        for side in trees:
-            result[command][f"{side}_wall_s"] = [round(w, 4) for w in sides[side]["wall_s"]]
+    for command, got in samples.items():
+        result[command] = {}
+        for metric in metrics:
+            parent, change, control = (got[s][metric] for s in ("parent", "change", "control"))
+            vs_change = compare(parent, change, "lower")
+            vs_control = compare(parent, control, "lower")
+            result[command][metric] = {
+                **vs_change,
+                "control": vs_control["change"],
+                "control_better_pairs": vs_control["change_better_pairs"],
+                "control_median_worse_by": vs_control["median_worse_by"],
+                "unresolved": abs(vs_change["median_worse_by"])
+                <= abs(vs_control["median_worse_by"]),
+            }
+        result[command]["same_output"] = all(got[s]["out"] == got["parent"]["out"] for s in sides)
+        for side in sides:
+            result[command][f"{side}_{metrics[0]}"] = [round(v, 4) for v in got[side][metrics[0]]]
         result[command]["processes_per_side"] = rounds
     return result
 
@@ -235,6 +298,8 @@ def main() -> int:
     parser.add_argument("--first-seed", type=int, default=2601)
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--processes", type=int, help="processes per side and command")
+    parser.add_argument("--after-main", action="store_true",
+                        help="time each process from the end of cli.main to its exit")
     parser.add_argument("--label", default="commands")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--summarize", type=Path, help="recheck a file's summary from its runs")
@@ -249,13 +314,15 @@ def main() -> int:
         return 1 if differ else 0
     if not (args.scratch and args.parent):
         parser.error("--scratch and --parent are needed to run anything")
-    trees = {"parent": args.scratch / "parent", "change": args.scratch / "change"}
-    src_tree = {side: export(rev, trees[side])
-                for side, rev in (("parent", args.parent), ("change", args.change))}
+    revs = {"parent": args.parent, "change": args.change}
     if args.processes:
         if not args.commands:
             parser.error("--processes needs at least one command")
-        result = run_processes(trees, args.processes, args.commands)
+        revs["control"] = args.parent
+    trees = {side: args.scratch / side for side in revs}
+    src_tree = {side: export(rev, trees[side]) for side, rev in revs.items()}
+    if args.processes:
+        result = run_processes(trees, args.processes, args.commands, args.after_main)
         merge(args.out, {"processes": {args.label: {"src_tree": src_tree, **result}}})
     else:
         merge(args.out, {**run_pairs(trees, args.pairs, args.first_seed, args.seconds),

@@ -44,6 +44,9 @@ per difference and exits 1 if there is any, else 0.
 - ``verify V`` and ``verify E`` on the b-files under ``tests/fixtures``;
 - alphas past a float: ``stat R_ALPHA 9 --alpha <10**400>/3`` and ``stat
   A_ALPHA 3 --alpha 1100.5``;
+- the parser's own output: ``--help`` and each command's ``--help``, no
+  arguments, an unknown command, ``stat FOO 3``, ``stat V x``, ``decode 12
+  --format xml`` and ``table V 5 1``;
 - an oracle dump: the type and ``repr`` of ``oracle_value`` for every
   statistic over n <= 1200 and the trees of ``2**1000``, ``3**300`` and
   ``3**40 * 5**40 * 7**30`` (1001, 601 and 291 vertices), alpha
@@ -236,6 +239,10 @@ def _commands(tree: Path) -> list[list[str]]:
                  ["verify", "E", str(FIXTURES / "b196050_oracle.txt")],
                  ["stat", "R_ALPHA", "9", "--alpha", f"{10**400}/3"],
                  ["stat", "A_ALPHA", "3", "--alpha", "1100.5"]]
+    commands += [["--help"], *([c, "--help"] for c in ("decode", "encode", "stat", "table",
+                                                        "verify", "selftest")),
+                 [], ["bogus"], ["stat", "FOO", "3"], ["stat", "V", "x"],
+                 ["decode", "12", "--format", "xml"], ["table", "V", "5", "1"]]
     return [["-m", "matula", *c] for c in commands] + [
         [str(RECORDER)], ["-c", ORACLE_DUMP], ["-c", PARAM_DUMP], ["-c", SPLIT_DUMP],
         ["-c", PRIME_DUMP]]

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -628,3 +629,79 @@ def test_outputs_match_the_recorded_digests(monkeypatch):
     want = json.loads((FIXTURES / "output_digests.json").read_text())
     assert dense_digests() == want["dense"]
     assert sparse_digests() == want["sparse"]
+
+
+# Run as `python -m matula` does, and report at exit how many objects are frozen.
+_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("matula", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["stat", "V", "12"], 0), (["stat", "V"], 2)], ids=["answer", "usage-error"]
+)
+def test_the_process_entry_freezes_the_heap_before_exit(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    last = proc.stderr.splitlines()[-1].split()
+    assert last[0] == "frozen" and int(last[1]) > 0, proc.stderr
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    import gc
+
+    before = gc.get_freeze_count()
+    assert main(["stat", "V", "12"]) == EXIT_OK
+    with pytest.raises(SystemExit):
+        main(["stat", "V"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_the_parser_adds_arguments_to_the_named_command_only(capsys, monkeypatch):
+    import argparse
+
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        if args[:1] != ("-h",):  # every parser adds its own --help
+            added.append(self.prog)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert main(["decode", "12"]) == EXIT_OK
+    assert capsys.readouterr().out == "(()()(()))\n"
+    assert set(added) == {"matula decode"}
+
+
+_SUBCOMMANDS = [
+    ("decode", "print the rooted tree for a Matula number"),
+    ("encode", "print the Matula number of a parenthesized tree"),
+    ("stat", "print one statistic of one Matula number"),
+    ("table", "print 'n value' lines for a range of n"),
+    ("verify", "check computed values against an OEIS b-file"),
+    ("selftest", "recursion-vs-oracle and split-invariance checks"),
+]
+
+
+def test_help_lists_every_command_and_a_bad_one_names_every_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+    assert [line for line in lines if tuple(line) in _SUBCOMMANDS] == [
+        list(c) for c in _SUBCOMMANDS
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert re.findall(r"\w+", err.split("choose from", 1)[1]) == [c for c, _ in _SUBCOMMANDS]

@@ -126,6 +126,28 @@ def test_factorize_recomposes():
         assert all(factorize(p).omega == 1 for p in ps)
 
 
+# Products of primes below 2**10 (trial division), below 10**6 and below 2 * 10**7
+# (rho), each to a multiplicity of up to 5.
+_FACTOR_BOUNDS = (2**10, 10**6, 2 * 10**7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(powers=st.lists(st.tuples(st.sampled_from(_FACTOR_BOUNDS), st.integers(0, 2 * 10**7),
+                                 st.integers(1, 5)), max_size=6))
+def test_factorize_counts_multiplicities_as_sympy_does(powers):
+    sympy = pytest.importorskip("sympy")
+    n = math.prod(sympy.prevprime(3 + x % (bound - 2)) ** e for bound, x, e in powers)
+    want = sympy.factorint(n)
+    assert factorize(n) == (tuple(sorted(want.items())), sum(want.values())), n
+
+
+@pytest.mark.parametrize("n", [2**3000, 3**300 * 5**200], ids=["2**3000", "3**300*5**200"])
+def test_factorize_of_a_long_chain_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    want = sympy.factorint(n)
+    assert factorize(n) == (tuple(sorted(want.items())), sum(want.values()))
+
+
 def test_omega_is_additive():
     rng = random.Random(12345)
     for _ in range(300):
