@@ -4,12 +4,11 @@ Subcommands: decode, encode, stat, table, verify, selftest.  Exit codes:
 0 success, 1 computation error, 2 usage error, 3 verification mismatch.
 Each command imports the modules it runs when it runs, so that `decode`
 and `encode` load no statistics and `stat` loads no trees; `selftest`
-loads its modules before it builds the parser, which adds arguments only to
-the command that argv names.  `entry`, the process entry of `matula` and
-`python -m matula`, freezes the heap (`gc.freeze`) once `main` is done, so
-that the collections the interpreter makes as it exits do not sweep it;
-`main` itself, which tests and tracers call in-process, leaves the collector
-alone.
+loads its modules before it builds the parser.  `entry`, the process entry
+of `matula` and `python -m matula`, freezes the heap (`gc.freeze`) once
+`main` is done, so that the collections the interpreter makes as it exits
+do not sweep it; `main` itself, which tests and tracers call in-process,
+leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -104,55 +103,44 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand's name and help.  Given the argv it will
-    parse, it adds arguments only to the subcommand that argv names: its first
-    word that is a command's name, which is the one argparse picks, since no
-    option before the command takes a value."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matula",
         description="Matula numbers: decode/encode rooted trees and compute tree statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = _COMMANDS if argv is None else next(([a] for a in argv if a in _COMMANDS), [])
 
     p = sub.add_parser("decode", help="print the rooted tree for a Matula number")
-    if "decode" in named:
-        p.add_argument("n", type=_int_arg)
-        p.add_argument("--format", choices=("paren", "json", "dot"), default="paren")
+    p.add_argument("n", type=_int_arg)
+    p.add_argument("--format", choices=("paren", "json", "dot"), default="paren")
 
     p = sub.add_parser("encode", help="print the Matula number of a parenthesized tree")
-    if "encode" in named:
-        p.add_argument("tree", help='canonical form, e.g. "(()())"')
+    p.add_argument("tree", help='canonical form, e.g. "(()())"')
 
     p = sub.add_parser("stat", help="print one statistic of one Matula number")
-    if "stat" in named:
-        p.add_argument("name", type=_stat_name)
-        p.add_argument("n", type=_int_arg)
-        p.add_argument("--alpha", type=_alpha, default=None)
-        p.add_argument("--k", type=_int_at_least(0), default=None)
+    p.add_argument("name", type=_stat_name)
+    p.add_argument("n", type=_int_arg)
+    p.add_argument("--alpha", type=_alpha, default=None)
+    p.add_argument("--k", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("table", help="print 'n value' lines for a range of n")
-    if "table" in named:
-        p.add_argument("name", type=_stat_name)
-        p.add_argument("lo", type=_int_at_least(1))
-        p.add_argument("hi", type=_int_at_least(1))
-        p.add_argument("--bfile", action="store_true", help="integer-only b-file output")
-        p.add_argument("--alpha", type=_alpha, default=None)
-        p.add_argument("--k", type=_int_at_least(0), default=None)
+    p.add_argument("name", type=_stat_name)
+    p.add_argument("lo", type=_int_at_least(1))
+    p.add_argument("hi", type=_int_at_least(1))
+    p.add_argument("--bfile", action="store_true", help="integer-only b-file output")
+    p.add_argument("--alpha", type=_alpha, default=None)
+    p.add_argument("--k", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("verify", help="check computed values against an OEIS b-file")
-    if "verify" in named:
-        p.add_argument("name", type=_stat_name)
-        p.add_argument("bfile_path")
-        p.add_argument(
-            "--limit", type=_int_at_least(0), default=None, help="check at most K entries"
-        )
+    p.add_argument("name", type=_stat_name)
+    p.add_argument("bfile_path")
+    p.add_argument(
+        "--limit", type=_int_at_least(0), default=None, help="check at most K entries"
+    )
 
     p = sub.add_parser("selftest", help="recursion-vs-oracle and split-invariance checks")
-    if "selftest" in named:
-        p.add_argument("--max-n", type=_int_at_least(1), default=300)
-        p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-n", type=_int_at_least(1), default=300)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -293,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         # leave a lower peak RSS: 16.7 MB for `selftest --max-n 150`, against
         # 17.0 MB when they load after the parser is built.
         from . import stats, oracle  # noqa: F401
-    parser = build_parser(argv)
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "table" and args.lo > args.hi:
         parser.error(f"table needs lo <= hi, got lo={args.lo} hi={args.hi}")

@@ -149,30 +149,26 @@ class PrimeSieve:
             raise InvalidInput(f"cannot factorize {n}; need n >= 1")
         c = self._ceiling
         k = (n & -n).bit_length() - 1  # 2 divides n k times
-        m, factors = n >> k, [(2, k)] if k else []
+        m, found = n >> k, [2] * k
         for p in _SMALL:
             if p * p > m:
                 break
-            e = 0
             while m % p == 0:
                 m //= p
-                e += 1
-            if e:
-                factors.append((p, e))
-        rest: dict[int, int] = {}  # the primes of m, by multiplicity
+                found.append(p)
         pending = [m] if m > 1 else []
         while pending:  # no prime in _SMALL divides what is pending
             m = pending.pop()
             if d := self._split(m):
                 pending += (d, m // d)
             else:
-                rest[m] = rest.get(m, 0) + 1
-        factors += sorted(rest.items())
+                found.append(m)
+        factors = tuple((q, found.count(q)) for q in sorted(set(found)))
         root = isqrt(prod(q**e for q, e in factors if q > c))
         if root > c:
             msg = f"factoring {n} needs primes past the ceiling {c}"
             raise CapacityExceeded(msg, needed=root, limit=c)
-        return Factorization(tuple(factors), sum(e for _, e in factors))
+        return Factorization(factors, len(found))
 
     def _split(self, m: int) -> int:
         """A factor 1 < d < m of the m that no prime in ``_SMALL`` divides, or 0 when

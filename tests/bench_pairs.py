@@ -222,38 +222,24 @@ def after_main(tree: Path, argv: list[str]) -> tuple[float, str]:
     return exited - float(end), digest[:16]
 
 
-def run_processes(trees: dict[str, Path], rounds: int, commands: list[str],
-                  probe: bool = False) -> dict:
-    """Each command ``rounds`` times per side.  Before each process the benchmark's
-    reference program is timed, as bench/run.py does, and ``scaled_wall_s`` is the
-    wall time times REF_NOMINAL_S over that reference time.  With ``probe`` each
-    process runs under AFTER_MAIN_PROBE instead, and only ``exit_s`` is kept."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    from run import REF_CODE, REF_NOMINAL_S
-
-    metrics = ("exit_s",) if probe else ("wall_s", "scaled_wall_s", "peak_rss_mb")
+def interleave(trees: dict[str, Path], rounds: int, commands: list[str], metrics: tuple,
+               measure) -> dict:
+    """Each command ``rounds`` times per side, command by command, the side that
+    goes first rotating each round; ``measure(tree, argv)`` returns one process's
+    metrics (a dict) and a digest of its output.  Per metric, the change and the
+    control are each compared with the parent."""
     sides = tuple(trees)
     samples = {c: {s: {m: [] for m in metrics} | {"out": set()} for s in sides} for c in commands}
     for k in range(rounds):
         for command in commands:
             for side in sides[k % len(sides):] + sides[: k % len(sides)]:
                 got = samples[command][side]
-                if probe:
-                    exit_s, digest = after_main(trees[side], shlex.split(command))
-                    got["exit_s"].append(exit_s)
-                    got["out"].add(digest)
-                    print(f"{k + 1}/{rounds} {side} {command}: exit {exit_s * 1000:.1f} ms",
-                          file=sys.stderr)
-                    continue
-                ref = one_process(trees[side], [sys.executable, "-S", "-c", REF_CODE])[0]
-                cmd = [sys.executable, "-m", "matula", *shlex.split(command)]
-                wall, rss, digest = one_process(trees[side], cmd)
-                got["wall_s"].append(wall)
-                got["scaled_wall_s"].append(wall * REF_NOMINAL_S / ref)
-                got["peak_rss_mb"].append(rss)
+                values, digest = measure(trees[side], shlex.split(command))
+                for metric in metrics:
+                    got[metric].append(values[metric])
                 got["out"].add(digest)
-                print(f"{k + 1}/{rounds} {side} {command}: {wall:.3f} s {rss:.1f} MB "
-                      f"(reference {ref:.3f} s)", file=sys.stderr)
+                shown = " ".join(f"{m} {v:.4f}" for m, v in values.items())
+                print(f"{k + 1}/{rounds} {side} {command}: {shown}", file=sys.stderr)
     result = {}
     for command, got in samples.items():
         result[command] = {}
@@ -274,6 +260,33 @@ def run_processes(trees: dict[str, Path], rounds: int, commands: list[str],
             result[command][f"{side}_{metrics[0]}"] = [round(v, 4) for v in got[side][metrics[0]]]
         result[command]["processes_per_side"] = rounds
     return result
+
+
+def run_processes(trees: dict[str, Path], rounds: int, commands: list[str]) -> dict:
+    """Wall time, scaled wall time and peak RSS of ``python -m matula`` per command.
+    Before each process the benchmark's reference program is timed, as
+    bench/run.py does, and ``scaled_wall_s`` is the wall time times REF_NOMINAL_S
+    over that reference time."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import REF_CODE, REF_NOMINAL_S
+
+    def measure(tree: Path, argv: list[str]) -> tuple[dict, str]:
+        ref = one_process(tree, [sys.executable, "-S", "-c", REF_CODE])[0]
+        wall, rss, digest = one_process(tree, [sys.executable, "-m", "matula", *argv])
+        return {"wall_s": wall, "scaled_wall_s": wall * REF_NOMINAL_S / ref,
+                "peak_rss_mb": rss}, digest
+
+    return interleave(trees, rounds, commands, ("wall_s", "scaled_wall_s", "peak_rss_mb"),
+                      measure)
+
+
+def run_after_main(trees: dict[str, Path], rounds: int, commands: list[str]) -> dict:
+    """``exit_s`` per command: from the end of cli.main to the process's exit."""
+    def measure(tree: Path, argv: list[str]) -> tuple[dict, str]:
+        exit_s, digest = after_main(tree, argv)
+        return {"exit_s": exit_s}, digest
+
+    return interleave(trees, rounds, commands, ("exit_s",), measure)
 
 
 def merge(path: Path | None, update: dict) -> None:
@@ -322,7 +335,8 @@ def main() -> int:
     trees = {side: args.scratch / side for side in revs}
     src_tree = {side: export(rev, trees[side]) for side, rev in revs.items()}
     if args.processes:
-        result = run_processes(trees, args.processes, args.commands, args.after_main)
+        run = run_after_main if args.after_main else run_processes
+        result = run(trees, args.processes, args.commands)
         merge(args.out, {"processes": {args.label: {"src_tree": src_tree, **result}}})
     else:
         merge(args.out, {**run_pairs(trees, args.pairs, args.first_seed, args.seconds),

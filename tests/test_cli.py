@@ -664,23 +664,6 @@ def test_main_leaves_the_collector_alone(capsys):
     assert gc.get_freeze_count() == before
 
 
-def test_the_parser_adds_arguments_to_the_named_command_only(capsys, monkeypatch):
-    import argparse
-
-    added = []
-    add_argument = argparse.ArgumentParser.add_argument
-
-    def spy(self, *args, **kwargs):
-        if args[:1] != ("-h",):  # every parser adds its own --help
-            added.append(self.prog)
-        return add_argument(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
-    assert main(["decode", "12"]) == EXIT_OK
-    assert capsys.readouterr().out == "(()()(()))\n"
-    assert set(added) == {"matula decode"}
-
-
 _SUBCOMMANDS = [
     ("decode", "print the rooted tree for a Matula number"),
     ("encode", "print the Matula number of a parenthesized tree"),
