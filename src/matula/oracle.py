@@ -39,19 +39,41 @@ class TreeAnalysis:
     pendant (degree 1) vertices.
     """
 
-    def __init__(
-        self, parents, children, levels, degrees, leaves, exits, edges,
-        distance_counts, pendant_distance_sum,
-    ):
-        self.parents: list[int] = parents
-        self.children: list[list[int]] = children
-        self.levels: list[int] = levels
-        self.degrees: list[int] = degrees
-        self.leaves: list[bool] = leaves
-        self.exits: list[int] = exits
-        self.edges: list[tuple[int, int]] = edges
-        self.distance_counts: Counter = distance_counts
-        self.pendant_distance_sum: int = pendant_distance_sum
+    def __init__(self, t: RootedTree):
+        """Flatten t into its columns in one preorder walk and count its pair distances."""
+        self.parents: list[int] = []
+        self.levels: list[int] = []
+        self.children: list[list[int]] = []
+        parents, levels, children = self.parents, self.levels, self.children
+        stack: list[tuple[RootedTree, int]] = [(t, -1)]
+        while stack:
+            node, pi = stack.pop()
+            i = len(parents)
+            if i >= _ANALYSIS_BUDGET:
+                raise BudgetExceeded(
+                    f"tree exceeds the oracle budget of {_ANALYSIS_BUDGET} vertices",
+                    needed=i + 1,
+                    limit=_ANALYSIS_BUDGET,
+                )
+            parents.append(pi)
+            levels.append(levels[pi] + 1 if i else 0)
+            children.append([])
+            if i:
+                children[pi].append(i)
+            for child in reversed(node.children):
+                stack.append((child, i))
+
+        n = len(parents)
+        # Exit distances: leaves get 0, every other vertex is one more than
+        # its closest child.  The single vertex gets 0 by convention.
+        self.exits = exits = [0] * n
+        for i in range(n - 1, -1, -1):
+            if children[i]:
+                exits[i] = 1 + min(exits[c] for c in children[i])
+        self.degrees = [len(kids) + (i > 0) for i, kids in enumerate(children)]
+        self.leaves = [not kids and n > 1 for kids in children]
+        self.edges = [(parents[i], i) for i in range(1, n)]
+        self.distance_counts, self.pendant_distance_sum = _pair_distances(self.edges, self.degrees)
 
     @property
     def vertex_count(self) -> int:
@@ -64,45 +86,8 @@ class TreeAnalysis:
 
 
 def analyze(t: RootedTree) -> TreeAnalysis:
-    """Flatten a tree into its vertex columns and count its pair distances."""
-    parents: list[int] = []
-    stack: list[tuple[RootedTree, int]] = [(t, -1)]
-    while stack:
-        node, pi = stack.pop()
-        i = len(parents)
-        if i >= _ANALYSIS_BUDGET:
-            raise BudgetExceeded(
-                f"tree exceeds the oracle budget of {_ANALYSIS_BUDGET} vertices",
-                needed=i + 1,
-                limit=_ANALYSIS_BUDGET,
-            )
-        parents.append(pi)
-        for child in reversed(node.children):
-            stack.append((child, i))
-
-    n = len(parents)
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i in range(1, n):
-        children[parents[i]].append(i)
-
-    levels = [0] * n
-    for i in range(1, n):
-        levels[i] = levels[parents[i]] + 1
-
-    degrees = [len(children[i]) + (1 if i > 0 else 0) for i in range(n)]
-    edges = [(parents[i], i) for i in range(1, n)]
-
-    # Exit distances: leaves get 0, every other vertex is one more than
-    # its closest child.  The single vertex gets 0 by convention.
-    exits = [0] * n
-    for i in range(n - 1, -1, -1):
-        if children[i]:
-            exits[i] = 1 + min(exits[c] for c in children[i])
-
-    leaves = [not kids and n > 1 for kids in children]
-    return TreeAnalysis(
-        parents, children, levels, degrees, leaves, exits, edges, *_pair_distances(edges, degrees)
-    )
+    """The vertex columns and pair-distance counts of t: ``TreeAnalysis(t)``."""
+    return TreeAnalysis(t)
 
 
 def _pair_distances(edges: list[tuple[int, int]], degrees: list[int]) -> tuple[Counter, int]:
@@ -199,12 +184,7 @@ def _subtrees_by_dp(an: TreeAnalysis) -> tuple[int, int]:
 
 def _poly_of_counts(counts: Counter) -> IntPolynomial:
     """The polynomial with coefficient counts[e] at each exponent e."""
-    if not counts:
-        return IntPolynomial()
-    coeffs = [0] * (max(counts) + 1)
-    for v, c in counts.items():
-        coeffs[v] = c
-    return IntPolynomial(coeffs)
+    return IntPolynomial(counts[e] for e in range(max(counts, default=-1) + 1))
 
 
 def _inverse_power_sum(bases, m: int) -> Fraction:

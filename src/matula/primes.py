@@ -64,10 +64,6 @@ class PrimeSieve:
     def ceiling(self) -> int:
         return self._ceiling
 
-    @property
-    def _limit(self) -> int:  # sieved through this value, inclusive; 1 until first read
-        return max(1, min(2 * len(self._state[0]), self._bound))
-
     def _built(self, upto: int) -> tuple:
         """The table, grown in whole steps through upto or the bound, whichever is less."""
         odd, counts = self._state

@@ -4,7 +4,7 @@ in alternation, and summarize the pairs.
     python3 tests/bench_pairs.py --scratch DIR --parent REV [--change REV]
         [--pairs 10] [--first-seed 2601] [--seconds 25] [--out FILE]
     python3 tests/bench_pairs.py --scratch DIR --parent REV [--change REV]
-        --processes N [--after-main] [--label NAME] [--out FILE] -- 'ARGV' ['ARGV' ...]
+        --processes N [--label NAME] [--out FILE] -- 'ARGV' ['ARGV' ...]
     python3 tests/bench_pairs.py --summarize FILE
 
 Each side is exported with ``git archive`` into DIR/parent and DIR/change,
@@ -32,10 +32,7 @@ reference program, timed just before each process; per metric it gives each
 side's median and quartiles, the rounds the change won, the control's
 difference beside the change's, and ``unresolved`` when the change's median
 differs from the parent's by no more than the control's does; and whether
-the sides printed the same bytes.  With --after-main each process runs
-``matula.__main__`` under a probe that notes when ``cli.main`` returns or
-raises, and the one metric is ``exit_s``: from then to the moment this
-process sees the program exit, on the shared monotonic clock.
+the sides printed the same bytes.
 
 --out merges the result into a JSON file (pairs mode at the top level,
 processes mode under ``processes.<label>``); without it the JSON goes to
@@ -61,21 +58,6 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 ENV = {"PYTHONUNBUFFERED": "1", "PYTHONDONTWRITEBYTECODE": "1"}
 LAUNCH_MARKER = "#matula-launch "  # as bench/launch.py writes it
-MAIN_END_MARKER = "#matula-main-end "
-# Runs `python -m matula ARGV` and writes the monotonic time at which cli.main
-# returned or raised to stderr, after MAIN_END_MARKER.
-AFTER_MAIN_PROBE = f"""
-import runpy, sys, time
-import matula.cli
-main = matula.cli.main
-def timed(argv=None):
-    try:
-        return main(argv)
-    finally:
-        sys.stderr.write("\\n{MAIN_END_MARKER}%r\\n" % time.monotonic())
-matula.cli.main = timed
-runpy.run_module("matula", run_name="__main__", alter_sys=True)
-"""
 
 
 def _git(*args: str) -> str:
@@ -185,22 +167,16 @@ def run_pairs(trees: dict[str, Path], count: int, first_seed: int, seconds: floa
     }
 
 
-def _env(tree: Path) -> dict:
-    """A measured process's environment: the tree's src, no bytecode written, and
-    not the caller's buffering mode."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
-
-
 def one_process(tree: Path, cmd: list[str]) -> tuple[float, float, str]:
     """Wall seconds, peak RSS in MB and a digest of the output of one program.
 
     It runs under the tree's bench/launch.py, a small process that times it
-    and reads its own peak RSS, not this process's."""
+    and reads its own peak RSS, not this process's.  The program sees the tree's
+    src, writes no bytecode and does not inherit the caller's buffering mode."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run(
-        [sys.executable, "-S", "bench/launch.py", *cmd], cwd=tree, env=_env(tree),
-        capture_output=True,
+        [sys.executable, "-S", "bench/launch.py", *cmd], cwd=tree, env=env, capture_output=True
     )
     err, _, marker = proc.stderr.rpartition(b"\n" + LAUNCH_MARKER.encode())
     wall, rss_kib, code = marker.split()
@@ -208,33 +184,28 @@ def one_process(tree: Path, cmd: list[str]) -> tuple[float, float, str]:
     return float(wall), int(rss_kib) / 1024, digest
 
 
-def after_main(tree: Path, argv: list[str]) -> tuple[float, str]:
-    """Seconds from the end of cli.main to the exit of ``python -m matula argv``
-    run under AFTER_MAIN_PROBE, and a digest of its output."""
-    proc = subprocess.run(
-        [sys.executable, "-c", AFTER_MAIN_PROBE, *argv], cwd=tree, env=_env(tree),
-        capture_output=True,
-    )
-    exited = time.monotonic()
-    err, _, marker = proc.stderr.rpartition(b"\n" + MAIN_END_MARKER.encode())
-    end, _, rest = marker.partition(b"\n")
-    digest = hashlib.sha256(proc.stdout + err + rest + str(proc.returncode).encode()).hexdigest()
-    return exited - float(end), digest[:16]
-
-
-def interleave(trees: dict[str, Path], rounds: int, commands: list[str], metrics: tuple,
-               measure) -> dict:
-    """Each command ``rounds`` times per side, command by command, the side that
-    goes first rotating each round; ``measure(tree, argv)`` returns one process's
-    metrics (a dict) and a digest of its output.  Per metric, the change and the
+def run_processes(trees: dict[str, Path], rounds: int, commands: list[str]) -> dict:
+    """Wall time, scaled wall time and peak RSS of ``python -m matula`` per command,
+    ``rounds`` times per side, command by command, the side that goes first
+    rotating each round.  Before each process the benchmark's reference program
+    is timed, as bench/run.py does, and ``scaled_wall_s`` is the wall time times
+    REF_NOMINAL_S over that reference time.  Per metric, the change and the
     control are each compared with the parent."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import REF_CODE, REF_NOMINAL_S
+
+    metrics = ("wall_s", "scaled_wall_s", "peak_rss_mb")
     sides = tuple(trees)
     samples = {c: {s: {m: [] for m in metrics} | {"out": set()} for s in sides} for c in commands}
     for k in range(rounds):
         for command in commands:
             for side in sides[k % len(sides):] + sides[: k % len(sides)]:
                 got = samples[command][side]
-                values, digest = measure(trees[side], shlex.split(command))
+                ref = one_process(trees[side], [sys.executable, "-S", "-c", REF_CODE])[0]
+                wall, rss, digest = one_process(
+                    trees[side], [sys.executable, "-m", "matula", *shlex.split(command)])
+                values = {"wall_s": wall, "scaled_wall_s": wall * REF_NOMINAL_S / ref,
+                          "peak_rss_mb": rss}
                 for metric in metrics:
                     got[metric].append(values[metric])
                 got["out"].add(digest)
@@ -262,33 +233,6 @@ def interleave(trees: dict[str, Path], rounds: int, commands: list[str], metrics
     return result
 
 
-def run_processes(trees: dict[str, Path], rounds: int, commands: list[str]) -> dict:
-    """Wall time, scaled wall time and peak RSS of ``python -m matula`` per command.
-    Before each process the benchmark's reference program is timed, as
-    bench/run.py does, and ``scaled_wall_s`` is the wall time times REF_NOMINAL_S
-    over that reference time."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    from run import REF_CODE, REF_NOMINAL_S
-
-    def measure(tree: Path, argv: list[str]) -> tuple[dict, str]:
-        ref = one_process(tree, [sys.executable, "-S", "-c", REF_CODE])[0]
-        wall, rss, digest = one_process(tree, [sys.executable, "-m", "matula", *argv])
-        return {"wall_s": wall, "scaled_wall_s": wall * REF_NOMINAL_S / ref,
-                "peak_rss_mb": rss}, digest
-
-    return interleave(trees, rounds, commands, ("wall_s", "scaled_wall_s", "peak_rss_mb"),
-                      measure)
-
-
-def run_after_main(trees: dict[str, Path], rounds: int, commands: list[str]) -> dict:
-    """``exit_s`` per command: from the end of cli.main to the process's exit."""
-    def measure(tree: Path, argv: list[str]) -> tuple[dict, str]:
-        exit_s, digest = after_main(tree, argv)
-        return {"exit_s": exit_s}, digest
-
-    return interleave(trees, rounds, commands, ("exit_s",), measure)
-
-
 def merge(path: Path | None, update: dict) -> None:
     if path is None:
         print(json.dumps(update, indent=1))
@@ -311,8 +255,6 @@ def main() -> int:
     parser.add_argument("--first-seed", type=int, default=2601)
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--processes", type=int, help="processes per side and command")
-    parser.add_argument("--after-main", action="store_true",
-                        help="time each process from the end of cli.main to its exit")
     parser.add_argument("--label", default="commands")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--summarize", type=Path, help="recheck a file's summary from its runs")
@@ -335,8 +277,7 @@ def main() -> int:
     trees = {side: args.scratch / side for side in revs}
     src_tree = {side: export(rev, trees[side]) for side, rev in revs.items()}
     if args.processes:
-        run = run_after_main if args.after_main else run_processes
-        result = run(trees, args.processes, args.commands)
+        result = run_processes(trees, args.processes, args.commands)
         merge(args.out, {"processes": {args.label: {"src_tree": src_tree, **result}}})
     else:
         merge(args.out, {**run_pairs(trees, args.pairs, args.first_seed, args.seconds),

@@ -52,6 +52,11 @@ per difference and exits 1 if there is any, else 0.
   ``3**40 * 5**40 * 7**30`` (1001, 601 and 291 vertices), alpha
   statistics at alpha 0, +-1, +-2, +-1/2 (as floats and as Fractions) and
   k statistics at k = 0 .. height + 1;
+- an analysis dump: for the same trees, the ``repr`` of every
+  ``TreeAnalysis`` column (``parents``, ``children``, ``levels``,
+  ``degrees``, ``leaves``, ``exits``, ``edges``, ``distance_counts`` and
+  ``pendant_distance_sum``), of ``vertex_count`` and, on trees of at most
+  40 vertices, of ``subtree_counts``;
 - a parameter dump: for every statistic, every n, alpha and k of
   ``PARAM_DUMP`` (valid ones, spellings of one value, and values of the
   wrong type that equal a valid one, such as True, 2.0 and Decimal(1)),
@@ -108,6 +113,19 @@ for n in [*range(1, 1201), 2**1000, 3**300, 3**40 * 5**40 * 7**30]:
         for kw in cases:
             v = oracle_value(an, name, **kw)
             print(n, name.value, kw, type(v).__name__, repr(v))
+"""
+
+ANALYSIS_DUMP = """
+from matula.oracle import analyze
+from matula.tree import decode
+columns = ("parents", "children", "levels", "degrees", "leaves", "exits", "edges",
+           "distance_counts", "pendant_distance_sum", "vertex_count")
+for n in [*range(1, 1201), 2**1000, 3**300, 3**40 * 5**40 * 7**30]:
+    an = analyze(decode(n))
+    for column in columns:
+        print(n, column, repr(getattr(an, column)))
+    if an.vertex_count <= 40:
+        print(n, "subtree_counts", repr(an.subtree_counts))
 """
 
 PARAM_DUMP = """
@@ -244,8 +262,8 @@ def _commands(tree: Path) -> list[list[str]]:
                  [], ["bogus"], ["stat", "FOO", "3"], ["stat", "V", "x"],
                  ["decode", "12", "--format", "xml"], ["table", "V", "5", "1"]]
     return [["-m", "matula", *c] for c in commands] + [
-        [str(RECORDER)], ["-c", ORACLE_DUMP], ["-c", PARAM_DUMP], ["-c", SPLIT_DUMP],
-        ["-c", PRIME_DUMP]]
+        [str(RECORDER)], ["-c", ORACLE_DUMP], ["-c", ANALYSIS_DUMP], ["-c", PARAM_DUMP],
+        ["-c", SPLIT_DUMP], ["-c", PRIME_DUMP]]
 
 
 def main() -> int:

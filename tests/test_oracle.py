@@ -6,7 +6,7 @@ from itertools import combinations
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matula import oracle
@@ -420,6 +420,37 @@ def test_random_trees_round_trip_and_match_the_oracle(drawn, seed):
     assert compare_all(n, engine, an) == []
     if len(t.children) >= 2:  # n is composite
         assert random_split_check(n, seed, engine)
+
+
+def _walk(t, parent=-1, level=0, rows=None):
+    """[parent, children, level, exit distance] per vertex of t in canonical
+    preorder, from a recursive walk."""
+    rows = [] if rows is None else rows
+    row = [parent, [], level, 0]
+    i = len(rows)
+    rows.append(row)
+    for child in t.children:
+        row[1].append(len(rows))
+        _walk(child, i, level + 1, rows)
+    if row[1]:
+        row[3] = 1 + min(rows[c][3] for c in row[1])
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(_trees())
+@example(("()", 1))
+def test_analysis_columns_match_a_recursive_walk(drawn):
+    t = parse_canonical_string(drawn[0])
+    an = analyze(t)
+    parents, children, levels, exits = (list(column) for column in zip(*_walk(t)))
+    edges = [(p, i) for i, p in enumerate(parents) if p >= 0]
+    degree = Counter(v for edge in edges for v in edge)
+    assert an.vertex_count == len(parents) == drawn[1]
+    assert (an.parents, an.children, an.levels, an.exits) == (parents, children, levels, exits)
+    assert an.edges == edges
+    assert an.degrees == [degree[i] for i in range(len(parents))]
+    assert an.leaves == [len(parents) > 1 and not kids for kids in children]
 
 
 @settings(max_examples=100, deadline=None)

@@ -66,7 +66,7 @@ def test_prime_index_rejects_composites_without_sieving_to_them():
     sieve = PrimeSieve()
     with pytest.raises(NotPrime):
         sieve.prime_index(987654321)
-    assert sieve._limit <= 10**6
+    assert 2 * len(sieve._state[0]) <= 10**6
 
 
 def test_prime_index_roundtrip():
@@ -191,14 +191,14 @@ def test_fresh_sieve_stays_at_its_built_bound():
         with pytest.raises(InvalidInput) as exc:
             PrimeSieve(bound, ceiling)
         assert str(exc.value) == f"ceiling {ceiling} is below the sieve's bound {least}"
-    assert PrimeSieve(3, 4)._limit == PrimeSieve(10, 10)._limit == 1
+    assert not PrimeSieve(3, 4)._state[0] and not PrimeSieve(10, 10)._state[0]
     sieve = PrimeSieve(initial_bound=10, ceiling=10**6)
-    assert sieve._limit == 1  # built on first use
+    assert not sieve._state[0]  # built on first use
     assert sieve.nth_prime(25) == 97
     assert sieve.prime_index(541) == 100
     assert sieve.factorize(2 * 3 * 541).factors == ((2, 1), (3, 1), (541, 1))
     assert sieve.factorize(541 * 547).factors == ((541, 1), (547, 1))
-    assert sieve._limit <= 10  # answered past the bound, which the table never passes
+    assert 2 * len(sieve._state[0]) <= 10  # answered past the bound, which the table never passes
 
 
 def test_capacity_nth_prime():
@@ -245,10 +245,10 @@ def test_cold_sieve_factorizes_what_a_warm_one_does(n, factors):
     # sqrt(n) is past the ceiling, but the small primes divide n out.
     warm = PrimeSieve()
     warm.nth_prime(10)
-    read = warm._limit
+    read = 2 * len(warm._state[0])
     cold = PrimeSieve()
     assert cold.factorize(n).factors == warm.factorize(n).factors == factors
-    assert (cold._limit, warm._limit) == (1, read)  # factorize reads no table
+    assert not cold._state[0] and 2 * len(warm._state[0]) == read  # factorize reads no table
 
 
 def test_concurrent_readers_and_growth():
@@ -474,10 +474,11 @@ def test_fresh_and_warm_sieves_agree(queries, data):
     assert [_answer(shuffled, queries[i]) for i in order] == [answers[i] for i in order]
     fresh = [PrimeSieve() for _ in queries]
     assert [_answer(sieve, q) for sieve, q in zip(fresh, queries)] == answers
-    furthest = max(sieve._limit for sieve in fresh)
-    assert warm._limit == backwards._limit == shuffled._limit == furthest <= 10**6
+    furthest = max(2 * len(sieve._state[0]) for sieve in fresh)
+    assert {2 * len(sieve._state[0]) for sieve in (warm, backwards, shuffled)} == {furthest}
+    assert furthest <= 10**6
     # Only factorize reads no table.
-    assert (furthest > 1) == any(kind != "factor" for kind, _ in queries)
+    assert (furthest > 0) == any(kind != "factor" for kind, _ in queries)
 
 
 def _factors_or_error(sieve, n):
@@ -500,7 +501,7 @@ def test_factorize_reads_no_table_and_ignores_the_bound(n):
         sieves = [PrimeSieve(b, ceiling) for b in (4, 100, 1000, 10**6) if b <= ceiling]
         answers = [_factors_or_error(sieve, n) for sieve in sieves]
         assert answers == answers[:1] * len(sieves), (n, ceiling)
-        assert [sieve._limit for sieve in sieves] == [1] * len(sieves)
+        assert not any(sieve._state[0] for sieve in sieves)
 
 
 def test_a_prime_past_the_sieve_times_one_past_the_ceiling():
@@ -521,7 +522,7 @@ def test_two_primes_past_a_small_ceiling_raise_cold_and_warm():
             sieve.factorize(n)
         assert str(exc.value) == f"factoring {n} needs primes past the ceiling 1000"
         assert (exc.value.needed, exc.value.limit) == (1010, 1000)
-        assert sieve._limit == (100 if sieve is warm else 1)
+        assert 2 * len(sieve._state[0]) == (100 if sieve is warm else 0)
 
 
 def test_matches_sympy():
@@ -541,7 +542,7 @@ def test_matches_sympy():
         for _ in range(5):
             p, q = (sympy.prevprime(rng.randrange(3, math.isqrt(bound))) for _ in "pq")
             assert dict(sieve.factorize(p * q).factors) == sympy.factorint(p * q)
-    assert sieve._limit <= 10**6
+    assert 2 * len(sieve._state[0]) <= 10**6
 
 
 # x = bound +- 1, around the squares of base primes, near 2*10**6, 2*10**7, 999**3 and
@@ -561,7 +562,7 @@ def test_pi_past_the_bound_matches_the_reference_list():
     for p in ref[bisect_right(ref, 10**6) - 3 :][:6]:  # three primes on each side of the bound
         m = bisect_right(ref, p)
         assert (sieve.prime_index(p), sieve.nth_prime(m)) == (m, p)
-    assert sieve._limit == 10**6
+    assert 2 * len(sieve._state[0]) == 10**6
 
 
 def _primepi_near(sympy, xs):
@@ -586,7 +587,7 @@ def test_pi_past_the_bound_matches_sympy():
         for p, m in ((below, pi[x - 1]), (above, pi[x] + 1)):
             if p <= 10**9:
                 assert (sieve.prime_index(p), sieve.nth_prime(m)) == (m, p), p
-    assert sieve._limit == 10**6
+    assert 2 * len(sieve._state[0]) == 10**6
 
 
 @settings(max_examples=40, deadline=None)
@@ -601,7 +602,7 @@ def test_pi_past_a_small_bound_matches_the_reference_list(initial, draws):
         assert sieve._pi(x) == m, x
         if ref[m - 1] > initial:
             assert (sieve.prime_index(ref[m - 1]), sieve.nth_prime(m)) == (m, ref[m - 1])
-    assert sieve._limit <= initial
+    assert 2 * len(sieve._state[0]) - 1 <= initial  # the last odd number sieved
 
 
 def test_the_table_grows_in_whole_steps_across_a_step_edge(monkeypatch):
@@ -617,14 +618,14 @@ def test_the_table_grows_in_whole_steps_across_a_step_edge(monkeypatch):
         got = []
         for p in order:
             assert sieve.prime_index(p) == ref.index(p) + 1
-            got.append(sieve._limit)
+            got.append(2 * len(sieve._state[0]))
         assert got == limits
     ascending, descending = PrimeSieve(7000, 10**6), PrimeSieve(7000, 10**6)
     small = ref[: bisect_right(ref, 7000)]
     assert [ascending.prime_index(p) for p in small] == list(range(1, len(small) + 1))
     assert [descending.prime_index(p) for p in reversed(small)] == list(range(len(small), 0, -1))
     assert [PrimeSieve(7000, 10**6).nth_prime(m) for m in range(1, len(ref) + 1)] == ref
-    assert ascending._limit == descending._limit == 7000
+    assert 2 * len(ascending._state[0]) == 2 * len(descending._state[0]) == 7000
 
 
 def test_small_one_shot_queries_sieve_one_step():

@@ -685,7 +685,7 @@ def test_fill_memory_tracks_the_range(monkeypatch):
     factorized = _spy_on_factorize(monkeypatch, sieve)
     engine = StatsEngine(sieve)
     engine.fill(S.V, 1, 16000)
-    assert sieve._limit < 10**6
+    assert 2 * len(sieve._state[0]) < 10**6
     assert not factorized
     assert sorted(engine._memo["V", None]) == list(range(1, 16001))
 
@@ -831,7 +831,7 @@ def test_one_engine_per_thread_over_a_shared_sieve():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert sieve._limit == 1000  # primes past it were answered without growing it
+    assert 2 * len(sieve._state[0]) == 1000  # primes past it were answered without growing it
     assert results == {i: want for i in range(len(threads))}
 
 
